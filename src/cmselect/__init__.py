@@ -14,11 +14,8 @@ from .critical import (
     CriticalValueReport,
     RmsTables,
     TestDecision,
-    cms_critical_value,
     gms_asymptotic,
     gms_bootstrap,
-    rms_hook,
-    rsw_test,
     run_test,
     upper_quantile,
 )

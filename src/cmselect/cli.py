@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
-from .critical import MODE_ASYMPTOTIC, MODE_BOOTSTRAP, RmsTables, run_test
+from .critical import MODE_ASYMPTOTIC, MODE_BOOTSTRAP, PROCEDURE_ALIASES, RmsTables, run_test
 from .errors import CmselectError
 from .harness import (
     ExperimentConfig,
@@ -31,13 +30,17 @@ from .selection import KappaSchedule
 from .statistics import StatisticKind
 
 _MODES = {"asym": MODE_ASYMPTOTIC, "boot": MODE_BOOTSTRAP}
+# Every top-level key `load_config` reads; any other key is rejected.
+_CONFIG_KEYS = frozenset({
+    "J", "family", "n", "r_mc", "b", "alpha", "kappa", "procedures", "statistics",
+    "null_patterns", "alternatives", "rms_tables", "seed", "threads",
+    "infinity_surrogate", "beta", "phi", "retain_critical_values", "run",
+})
 
 
 def _shared_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--statistic", choices=["mmm", "aqlr"], default="aqlr")
-    parser.add_argument(
-        "--procedure", choices=["gms", "cms", "cms-fc", "rsw", "rms"], default="cms"
-    )
+    parser.add_argument("--procedure", choices=list(PROCEDURE_ALIASES), default="cms")
     parser.add_argument("--phi", type=int, choices=[1, 2, 3, 4, 5], default=1)
     parser.add_argument("--kappa", default="sqrt-log-n", help="sqrt-log-n, sqrt-2loglogn, fixed:<v>")
     parser.add_argument("--mode", choices=["asym", "boot"], default="boot")
@@ -45,7 +48,6 @@ def _shared_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--draws", type=int, default=10000)
     parser.add_argument("--beta", type=float, default=None, help="first-stage level (rsw)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--rms-tables", default=None, help="JSON lookup tables for rms")
 
 
@@ -176,6 +178,11 @@ def load_config(path, desk_scale=False, overrides=None) -> tuple:
     """Parse an experiment config JSON into (ExperimentConfig, phases, options)."""
     with open(path, encoding="utf-8") as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise CmselectError("the config must be a JSON object")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise CmselectError(f"unknown config key {', '.join(map(repr, unknown))}")
     overrides = overrides or {}
 
     j = int(raw["J"])

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,12 +56,8 @@ class CriticalValueReport:
     selection: SelectionVector
     alpha: float
     supplementary: dict = field(default_factory=dict)
-    correction: float | None = None
     tilt_fallback: bool = False
     skipped_draws: int = 0
-
-    def corrected_value(self) -> float:
-        return self.value + (self.correction or 0.0)
 
     def to_dict(self) -> dict:
         shifts = ["inf" if math.isinf(s) else float(s) for s in self.selection.shifts]
@@ -77,8 +73,6 @@ class CriticalValueReport:
         }
         if self.supplementary:
             record["supplementary"] = _jsonable(self.supplementary)
-        if self.correction is not None:
-            record["correction"] = self.correction
         if self.tilt_fallback:
             record["tilt_fallback"] = True
         return record
@@ -347,120 +341,6 @@ def gms_selection(summary: MomentSummary, schedule: KappaSchedule, phi: int = 1,
     return phi_k(phi, xi, summary.correlation, **phi_params)
 
 
-def cms_selection(
-    sample: MomentSample,
-    summary: MomentSummary,
-    schedule: KappaSchedule,
-    phi: int = 1,
-    fully_constrained: bool = False,
-    tilt_result: TiltResult | None = None,
-    **phi_params,
-):
-    """Selection vector from the tilted means; falls back to the raw ones when
-    the tilt is infeasible. Returns (selection, fallback_flag, tilt_result)."""
-    if tilt_result is None:
-        tilt_result = tilt(sample)
-    k = kappa_value(schedule, summary.n)
-    if not tilt_result.solved:
-        sel = gms_selection(summary, schedule, phi, **phi_params)
-        return sel, True, tilt_result
-    xi = tilted_selection(sample, k, fully_constrained, result=tilt_result, summary=summary)
-    omega = summary.correlation
-    if fully_constrained:
-        var = np.diag(tilt_result.tilted_cov)
-        inv_sd = 1.0 / np.sqrt(var)
-        omega = tilt_result.tilted_cov * np.outer(inv_sd, inv_sd)
-    return phi_k(phi, xi, omega, **phi_params), False, tilt_result
-
-
-def cms_critical_value(
-    sample: MomentSample,
-    kind: StatisticKind,
-    phi: int,
-    schedule: KappaSchedule,
-    mode: str,
-    alpha: float,
-    n_draws: int,
-    seed: int,
-    fully_constrained: bool = False,
-    draws: BootstrapDraws | None = None,
-    rng: np.random.Generator | None = None,
-    summary: MomentSummary | None = None,
-    tilt_result: TiltResult | None = None,
-    **phi_params,
-) -> CriticalValueReport:
-    """Critical value with the selection computed from tilted means."""
-    _check_alpha(alpha)
-    if summary is None:
-        summary = summarize(sample)
-    selection, fallback, _ = cms_selection(
-        sample, summary, schedule, phi, fully_constrained, tilt_result, **phi_params
-    )
-    method = "CMS_FC" if fully_constrained else "CMS"
-    if mode == MODE_BOOTSTRAP:
-        report = gms_bootstrap(
-            sample, selection, kind, alpha, n_draws, seed, draws=draws, rng=rng, method=method
-        )
-    elif mode == MODE_ASYMPTOTIC:
-        report = gms_asymptotic(summary, selection, kind, alpha, n_draws, seed, rng=rng, method=method)
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    if fallback:
-        report = CriticalValueReport(
-            value=report.value,
-            method=report.method,
-            mode=report.mode,
-            draws=report.draws,
-            selection=report.selection,
-            alpha=report.alpha,
-            supplementary=report.supplementary,
-            correction=report.correction,
-            tilt_fallback=True,
-            skipped_draws=report.skipped_draws,
-        )
-    return report
-
-
-def rsw_test(
-    sample: MomentSample,
-    kind: StatisticKind,
-    alpha: float,
-    beta: float | None = None,
-    n_draws: int = 10000,
-    seed: int = 0,
-    draws: BootstrapDraws | None = None,
-    rng: np.random.Generator | None = None,
-    summary: MomentSummary | None = None,
-) -> TestDecision:
-    """Two-step test: first-stage lower confidence rectangle, then a shifted
-    bootstrap critical value at level 1 - alpha + beta.
-
-    Rejects only when the statistic exceeds the critical value and the
-    rectangle sticks out of the nonnegative orthant.
-    """
-    _check_alpha(alpha)
-    if beta is None:
-        beta = alpha / 10.0
-    if not 0.0 < beta < alpha:
-        raise DomainError("beta must lie in (0, alpha)")
-    if summary is None:
-        summary = summarize(sample)
-    if draws is None:
-        if rng is None:
-            rng = substream(seed, BOOTSTRAP)
-        draws = BootstrapDraws(sample, summary, n_draws, rng)
-
-    report, first_stage = rsw_critical_value(draws, summary, kind, alpha, beta)
-    statistic = evaluate(kind, summary)
-    reject = bool(statistic > report.value and first_stage)
-    return TestDecision(
-        statistic=statistic,
-        critical_value=report,
-        reject=reject,
-        extras={"first_stage": first_stage},
-    )
-
-
 def rsw_critical_value(
     draws: BootstrapDraws,
     summary: MomentSummary,
@@ -557,65 +437,79 @@ def min_off_diagonal(correlation: np.ndarray) -> float:
     return float(correlation[mask].min())
 
 
-def rms_hook(
-    sample: MomentSample,
-    kind: StatisticKind,
-    alpha: float,
-    tables: RmsTables | None,
-    mode: str,
-    n_draws: int,
-    seed: int,
-    phi: int = 1,
-    draws: BootstrapDraws | None = None,
-    rng: np.random.Generator | None = None,
-    summary: MomentSummary | None = None,
-) -> CriticalValueReport:
-    """Refined-selection critical value: data-driven threshold plus size bump.
-
-    Runs the plain selection pipeline with kappa looked up at the minimum
-    off-diagonal correlation and adds the size-correction constant to the
-    quantile. Disabled (MissingTable) when no tables are supplied, since the
-    numeric tables live outside this package.
-    """
-    _check_alpha(alpha)
-    if tables is None:
-        raise MissingTable("RMS needs kappa/eta lookup tables; none were supplied")
-    if summary is None:
-        summary = summarize(sample)
-    delta = min_off_diagonal(summary.correlation)
-    kappa_hat = tables.kappa_at(delta)
-    if kappa_hat <= 0:
-        raise DomainError("RMS kappa table produced a nonpositive threshold")
-    eta = tables.eta_at(delta, summary.n_moments)
-
-    schedule = KappaSchedule.parse(f"fixed:{kappa_hat}")
-    selection = gms_selection(summary, schedule, phi)
-    if mode == MODE_BOOTSTRAP:
-        base = gms_bootstrap(
-            sample, selection, kind, alpha, n_draws, seed, draws=draws, rng=rng, method="RMS"
-        )
-    elif mode == MODE_ASYMPTOTIC:
-        base = gms_asymptotic(summary, selection, kind, alpha, n_draws, seed, rng=rng, method="RMS")
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    return CriticalValueReport(
-        value=base.value + eta,
-        method="RMS",
-        mode=base.mode,
-        draws=base.draws,
-        selection=base.selection,
-        alpha=alpha,
-        supplementary={"delta_hat": delta, "kappa_hat": kappa_hat, "eta_hat": eta},
-        correction=None,
-        skipped_draws=base.skipped_draws,
-    )
-
-
 # ---------------------------------------------------------------------------
 # The single decision path
 # ---------------------------------------------------------------------------
 
-PROCEDURES = ("gms", "cms", "cms-fc", "rsw", "rms")
+
+PROCEDURES = ("GMS", "CMS", "CMS_FC", "RSW", "RMS")
+# The spelling `run_test` and the command line take: lower case, "cms-fc".
+PROCEDURE_ALIASES = {name.lower().replace("_", "-"): name for name in PROCEDURES}
+
+
+@dataclass(frozen=True)
+class SelectionStep:
+    """What a selection-based procedure contributes to its critical value:
+    the selection vector, a constant added to the quantile (the RMS size
+    correction), audit fields for the report, and the tilt-fallback flag."""
+
+    selection: SelectionVector
+    # x + (-0.0) is x bit for bit, -0.0 included, so adding the default
+    # leaves every other procedure's quantile exactly as read.
+    additive: float = -0.0
+    supplementary: dict = field(default_factory=dict)
+    tilt_fallback: bool = False
+
+
+def selection_step(
+    procedure: str,
+    sample: MomentSample,
+    summary: MomentSummary,
+    schedule: KappaSchedule,
+    phi: int = 1,
+    rms_tables: RmsTables | None = None,
+    tilt_result: TiltResult | None = None,
+    **phi_params,
+) -> SelectionStep:
+    """Selection step of GMS, CMS, CMS_FC or RMS.
+
+    CMS and CMS_FC threshold the tilted means and fall back to the raw ones
+    when the tilt is infeasible; pass ``tilt_result`` to share one tilt
+    between them. RMS thresholds the raw means at a kappa looked up at the
+    minimum off-diagonal correlation and adds a size-correction constant to
+    the quantile. It is disabled (MissingTable) without ``rms_tables``, since
+    the numeric tables live outside this package.
+    """
+    if procedure == "GMS":
+        return SelectionStep(gms_selection(summary, schedule, phi, **phi_params))
+    if procedure in ("CMS", "CMS_FC"):
+        if tilt_result is None:
+            tilt_result = tilt(sample)
+        if not tilt_result.solved:
+            return SelectionStep(gms_selection(summary, schedule, phi, **phi_params), tilt_fallback=True)
+        fully_constrained = procedure == "CMS_FC"
+        k = kappa_value(schedule, summary.n)
+        xi = tilted_selection(sample, k, fully_constrained, result=tilt_result, summary=summary)
+        omega = summary.correlation
+        if fully_constrained:
+            inv_sd = 1.0 / np.sqrt(np.diag(tilt_result.tilted_cov))
+            omega = tilt_result.tilted_cov * np.outer(inv_sd, inv_sd)
+        return SelectionStep(phi_k(phi, xi, omega, **phi_params))
+    if procedure != "RMS":
+        raise DomainError(f"procedure {procedure!r} has no selection step")
+    if rms_tables is None:
+        raise MissingTable("RMS needs kappa/eta lookup tables; none were supplied")
+    delta = min_off_diagonal(summary.correlation)
+    kappa_hat = rms_tables.kappa_at(delta)
+    if kappa_hat <= 0:
+        raise DomainError("RMS kappa table produced a nonpositive threshold")
+    eta = rms_tables.eta_at(delta, summary.n_moments)
+    schedule = KappaSchedule.parse(f"fixed:{kappa_hat}")
+    return SelectionStep(
+        gms_selection(summary, schedule, phi, **phi_params),
+        additive=eta,
+        supplementary={"delta_hat": delta, "kappa_hat": kappa_hat, "eta_hat": eta},
+    )
 
 
 def run_test(
@@ -636,74 +530,54 @@ def run_test(
 ) -> TestDecision:
     """Evaluate the statistic and one procedure's critical value on a sample.
 
-    This is the decision logic behind both the command line and the Monte
-    Carlo harness; those callers only differ in how they construct the sample
-    and the random streams.
+    The entry point for every procedure, and the decision logic behind both
+    the command line and the Monte Carlo harness; those callers only differ
+    in how they construct the sample and the random streams. The two-step
+    test (rsw) rejects only when the statistic exceeds its critical value and
+    its first-stage rectangle sticks out of the nonnegative orthant; ``beta``
+    is its first-stage level, alpha / 10 by default.
     """
-    if procedure not in PROCEDURES:
+    name = PROCEDURE_ALIASES.get(procedure)
+    if name is None:
         raise DomainError(f"unknown procedure {procedure!r}")
+    if mode not in (MODE_BOOTSTRAP, MODE_ASYMPTOTIC):
+        raise DomainError(f"unknown mode {mode!r}")
+    _check_alpha(alpha)
+    if name == "RSW":
+        if mode != MODE_BOOTSTRAP:
+            raise DomainError("the two-step procedure is bootstrap-only")
+        if beta is None:
+            beta = alpha / 10.0
+        if not 0.0 < beta < alpha:
+            raise DomainError("beta must lie in (0, alpha)")
     if schedule is None:
         schedule = KappaSchedule.parse("sqrt-log-n")
     summary = summarize(sample)
-
-    if procedure == "rsw":
-        if mode != MODE_BOOTSTRAP:
-            raise DomainError("the two-step procedure is bootstrap-only")
-        return rsw_test(
-            sample, kind, alpha, beta, n_draws, seed, draws=draws, rng=rng, summary=summary
-        )
-
     if mode == MODE_BOOTSTRAP and draws is None:
         if rng is None:
             rng = substream(seed, BOOTSTRAP)
         draws = BootstrapDraws(sample, summary, n_draws, rng)
+    statistic = evaluate(kind, summary)
+
+    if name == "RSW":
+        report, first_stage = rsw_critical_value(draws, summary, kind, alpha, beta)
+        reject = bool(statistic > report.value and first_stage)
+        return TestDecision(statistic, report, reject, {"first_stage": first_stage})
 
     extras: dict = {}
-    if procedure == "gms":
-        selection = gms_selection(summary, schedule, phi, **phi_params)
-        if mode == MODE_BOOTSTRAP:
-            report = gms_bootstrap(sample, selection, kind, alpha, n_draws, seed, draws=draws)
-        else:
-            report = gms_asymptotic(summary, selection, kind, alpha, n_draws, seed, rng=rng)
-    elif procedure in ("cms", "cms-fc"):
-        fully_constrained = procedure == "cms-fc"
+    tilt_result = None
+    if name in ("CMS", "CMS_FC"):
         tilt_result = tilt(sample)
-        report = cms_critical_value(
-            sample,
-            kind,
-            phi,
-            schedule,
-            mode,
-            alpha,
-            n_draws,
-            seed,
-            fully_constrained=fully_constrained,
-            draws=draws,
-            rng=rng,
-            summary=summary,
-            tilt_result=tilt_result,
-            **phi_params,
-        )
         extras["tilt"] = tilt_result.diagnostics()
-    else:  # rms
-        report = rms_hook(
-            sample,
-            kind,
-            alpha,
-            rms_tables,
-            mode,
-            n_draws,
-            seed,
-            phi=phi,
-            draws=draws,
-            rng=rng,
-            summary=summary,
-        )
-
-    statistic = evaluate(kind, summary)
-    return TestDecision(
-        statistic=statistic,
-        critical_value=report,
-        reject=bool(statistic > report.value),
-        extras=extras,
+    step = selection_step(name, sample, summary, schedule, phi, rms_tables, tilt_result, **phi_params)
+    if mode == MODE_BOOTSTRAP:
+        report = gms_bootstrap(sample, step.selection, kind, alpha, n_draws, seed, draws=draws, method=name)
+    else:
+        report = gms_asymptotic(summary, step.selection, kind, alpha, n_draws, seed, rng=rng, method=name)
+    report = replace(
+        report,
+        value=report.value + step.additive,
+        supplementary=step.supplementary,
+        tilt_fallback=step.tilt_fallback,
     )
+    return TestDecision(statistic, report, bool(statistic > report.value), extras)

@@ -30,27 +30,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .critical import (
+    PROCEDURES,
     BootstrapDraws,
     RmsTables,
-    gms_selection,
-    min_off_diagonal,
     rsw_critical_value,
+    selection_step,
     upper_quantile,
 )
-from .errors import DomainError, MissingBaseline
+from .errors import CmselectError, DomainError, MissingBaseline
 from .moments import CorrelationFamily, MomentSample, cholesky_factor, make_toeplitz, summarize
-from .selection import KappaSchedule, kappa as kappa_eval, phi_k
+from .selection import KappaSchedule
 from .statistics import StatisticKind, evaluate
 from .streams import BOOTSTRAP, SAMPLE_DRAW, substream
-from .tilt import tilt, tilted_selection
+from .tilt import tilt
 
 PHASE_NULL = 0
 PHASE_POWER = 1
 
-PROCEDURES = ("GMS", "CMS", "CMS_FC", "RSW", "RMS")
 # Procedures whose critical values receive the additive MNRP correction; the
 # two-step test is the baseline and stays uncorrected.
-CORRECTED_PROCEDURES = ("GMS", "CMS", "CMS_FC", "RMS")
+CORRECTED_PROCEDURES = tuple(proc for proc in PROCEDURES if proc != "RSW")
 
 
 def default_replications(j: int) -> int:
@@ -223,37 +222,11 @@ def _replicate(config: ExperimentConfig, chol, mu, phase: int, pattern_idx: int,
         draws = BootstrapDraws(sample, summary, config.b, rng_boot)
 
         stats = {kind: evaluate(kind, summary) for kind in config.statistics}
-        selections = {}
         flags = {}
-
-        if "GMS" in config.procedures:
-            selections["GMS"] = gms_selection(summary, config.kappa, config.phi)
+        tilt_result = None
         if "CMS" in config.procedures or "CMS_FC" in config.procedures:
             tilt_result = tilt(sample)
             flags["tilt_infeasible"] = not tilt_result.solved
-            k_val = kappa_eval(config.kappa, config.n)
-            for proc, fully in (("CMS", False), ("CMS_FC", True)):
-                if proc not in config.procedures:
-                    continue
-                if tilt_result.solved:
-                    xi = tilted_selection(
-                        sample, k_val, fully, result=tilt_result, summary=summary
-                    )
-                    omega = summary.correlation
-                    if fully:
-                        var = np.diag(tilt_result.tilted_cov)
-                        inv_sd = 1.0 / np.sqrt(var)
-                        omega = tilt_result.tilted_cov * np.outer(inv_sd, inv_sd)
-                    selections[proc] = phi_k(config.phi, xi, omega)
-                else:
-                    selections[proc] = gms_selection(summary, config.kappa, config.phi)
-        if "RMS" in config.procedures:
-            delta_hat = min_off_diagonal(summary.correlation)
-            kappa_hat = config.rms_tables.kappa_at(delta_hat)
-            eta_hat = config.rms_tables.eta_at(delta_hat, config.J)
-            rms_schedule = KappaSchedule.parse(f"fixed:{kappa_hat}")
-            selections["RMS"] = gms_selection(summary, rms_schedule, config.phi)
-            flags["rms_eta"] = eta_hat
 
         cvs = {}
         quantile_cache: dict = {}
@@ -261,15 +234,14 @@ def _replicate(config: ExperimentConfig, chol, mu, phase: int, pattern_idx: int,
         for proc in config.procedures:
             if proc == "RSW":
                 continue
-            sel = selections[proc]
+            step = selection_step(
+                proc, sample, summary, config.kappa, config.phi, config.rms_tables, tilt_result
+            )
             for kind in config.statistics:
-                key = (kind, sel.shifts.tobytes())
+                key = (kind, step.selection.shifts.tobytes())
                 if key not in quantile_cache:
-                    quantile_cache[key] = draws.selection_quantile(sel, kind, level)
-                value = quantile_cache[key]
-                if proc == "RMS":
-                    value += flags["rms_eta"]
-                cvs[(proc, kind)] = value
+                    quantile_cache[key] = draws.selection_quantile(step.selection, kind, level)
+                cvs[(proc, kind)] = quantile_cache[key] + step.additive
 
         if "RSW" in config.procedures:
             beta = config.beta_value
@@ -281,7 +253,7 @@ def _replicate(config: ExperimentConfig, chol, mu, phase: int, pattern_idx: int,
 
         return {"stat": stats, "cv": cvs, "flags": flags}
     except Exception as err:
-        raise RuntimeError(
+        raise CmselectError(
             f"replication failed at pattern {pattern_idx}, replication {rep_idx}: {err}"
         ) from err
 
@@ -349,26 +321,11 @@ def run_mnrp(config: ExperimentConfig, patterns=None) -> ExperimentResult:
     if patterns is None:
         patterns = config.null_mu or null_patterns(config.J)
     raw = _run_phase(config, patterns, PHASE_NULL)
-
-    cells = {}
-    for proc in config.procedures:
-        for kind in config.statistics:
-            stats = raw["stat"][kind]
-            cvs = raw["cv"][(proc, kind)]
-            rejections = stats > cvs
-            if proc == "RSW":
-                rejections = rejections & raw["rsw_first"]
-            cell = CellResult.from_draws(proc, kind.value, stats, cvs, rejections, config.r_mc)
-            best = int(np.argmax(cell.rates))
-            cell.mnrp = float(cell.rates[best])
-            cell.mnrp_pattern = best
-            cells[(proc, kind.value)] = cell
-
-    diagnostics = {
-        "tilt_infeasible_count": int(raw["tilt_infeasible"].sum()),
-        "rsw_first_stage_rate": float(raw["rsw_first"].mean()) if "RSW" in config.procedures else None,
-        "rsw_no_omission_rate": float(raw["rsw_keep_all"].mean()) if "RSW" in config.procedures else None,
-    }
+    cells, diagnostics = _tabulate(config, raw)
+    for cell in cells.values():
+        best = int(np.argmax(cell.rates))
+        cell.mnrp = float(cell.rates[best])
+        cell.mnrp_pattern = best
     return ExperimentResult(
         config=config,
         phase="mnrp",
@@ -376,6 +333,39 @@ def run_mnrp(config: ExperimentConfig, patterns=None) -> ExperimentResult:
         cells=cells,
         diagnostics=diagnostics,
     )
+
+
+def _tabulate(config: ExperimentConfig, raw: dict, corrections: dict | None = None):
+    """Cells and diagnostics of one phase from its raw arrays.
+
+    ``corrections`` (power runs) maps (procedure, statistic-name) to the
+    constant added to that cell's critical values; cells without an entry
+    get 0. Rejection is T > c, and for the two-step test also the
+    first-stage event.
+    """
+    cells = {}
+    for proc in config.procedures:
+        for kind in config.statistics:
+            stats = raw["stat"][kind]
+            cvs = raw["cv"][(proc, kind)]
+            delta = 0.0
+            if corrections is not None:
+                delta = corrections.get((proc, kind.value), 0.0)
+                cvs = cvs + delta
+            rejections = stats > cvs
+            if proc == "RSW":
+                rejections = rejections & raw["rsw_first"]
+            cell = CellResult.from_draws(proc, kind.value, stats, cvs, rejections, config.r_mc)
+            cell.correction = delta
+            cells[(proc, kind.value)] = cell
+
+    has_rsw = "RSW" in config.procedures
+    diagnostics = {
+        "tilt_infeasible_count": int(raw["tilt_infeasible"].sum()),
+        "rsw_first_stage_rate": float(raw["rsw_first"].mean()) if has_rsw else None,
+        "rsw_no_omission_rate": float(raw["rsw_keep_all"].mean()) if has_rsw else None,
+    }
+    return cells, diagnostics
 
 
 def mnrp_correction(result: ExperimentResult, procedure: str, kind: StatisticKind) -> float:
@@ -405,8 +395,6 @@ def corrections_from(result: ExperimentResult) -> dict:
     """All corrections an MNRP sweep supports: {(procedure, statistic): delta}."""
     out = {}
     for proc in result.config.procedures:
-        if proc == "RSW":
-            continue
         if proc not in CORRECTED_PROCEDURES:
             continue
         for kind in result.config.statistics:
@@ -438,31 +426,11 @@ def run_power(config: ExperimentConfig, corrections: dict | None = None, alterna
         tuple(float(m) / math.sqrt(config.n) for m in mu) for mu in alternatives
     )
     raw = _run_phase(config, scaled, PHASE_POWER)
-
-    cells = {}
-    retained = {}
-    for proc in config.procedures:
-        for kind in config.statistics:
-            delta = corrections.get((proc, kind.value), 0.0)
-            stats = raw["stat"][kind]
-            corrected_cvs = raw["cv"][(proc, kind)] + delta
-            rejections = stats > corrected_cvs
-            if proc == "RSW":
-                rejections = rejections & raw["rsw_first"]
-            cell = CellResult.from_draws(
-                proc, kind.value, stats, corrected_cvs, rejections, config.r_mc
-            )
-            cell.correction = delta
-            cells[(proc, kind.value)] = cell
-            if config.retain_critical_values:
-                retained[(proc, kind.value)] = corrected_cvs
-
-    diagnostics = {
-        "tilt_infeasible_count": int(raw["tilt_infeasible"].sum()),
-        "rsw_first_stage_rate": float(raw["rsw_first"].mean()) if "RSW" in config.procedures else None,
-        "rsw_no_omission_rate": float(raw["rsw_keep_all"].mean()) if "RSW" in config.procedures else None,
-    }
+    cells, diagnostics = _tabulate(config, raw, corrections)
     diagnostics.update(_ordering_diagnostics(config, raw))
+    retained = {}
+    if config.retain_critical_values:
+        retained = {key: cell.critical_values for key, cell in cells.items()}
 
     return ExperimentResult(
         config=config,

@@ -65,6 +65,11 @@ class TestCmdTest:
         code = main(["test", str(path)])
         assert code == 2
         assert "row 2" in capsys.readouterr().err
+        # --threads belongs to simulate only; test and invert refuse it
+        for command in ("test", "invert"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, str(path), "--threads", "2"])
+            assert exit_info.value.code == 2
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["test", str(tmp_path / "nope.csv")]) == 2
@@ -237,6 +242,21 @@ class TestCmdSimulate:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["simulate", str(path)]) == 2
+
+    def test_unknown_config_key_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"J": 2, "family": "Zero", "n": 50, "procedure": ["RSW"]}))
+        assert main(["simulate", str(path)]) == 2
+        assert "'procedure'" in capsys.readouterr().err
+
+    def test_failed_replication_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(
+            {"J": 2, "family": "Neg", "n": 3, "r_mc": 2, "b": 100, "procedures": ["GMS"]}
+        ))
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: replication failed at pattern 0, replication 0")
 
     def test_unknown_phase_exits_two(self, tmp_path):
         path = tmp_path / "phase.json"

@@ -11,11 +11,8 @@ from cmselect import (
     SelectionVector,
     StatisticKind,
     TooManyDegenerate,
-    cms_critical_value,
     gms_asymptotic,
     gms_bootstrap,
-    rms_hook,
-    rsw_test,
     run_test,
     summarize,
     upper_quantile,
@@ -23,6 +20,7 @@ from cmselect import (
 from cmselect.critical import (
     MODE_ASYMPTOTIC,
     MODE_BOOTSTRAP,
+    PROCEDURE_ALIASES,
     asymptotic_draws,
     min_off_diagonal,
     rsw_critical_value,
@@ -171,9 +169,10 @@ class TestCms:
         sample = normal_sample(60, 2, 30, shift=4.0)
         schedule = KappaSchedule.parse("sqrt-log-n")
         for mode in (MODE_ASYMPTOTIC, MODE_BOOTSTRAP):
-            cms = cms_critical_value(
-                sample, StatisticKind.MMM, 1, schedule, mode, 0.05, 300, seed=3
-            )
+            cms = run_test(
+                sample, StatisticKind.MMM, "cms", phi=1, schedule=schedule, mode=mode,
+                alpha=0.05, n_draws=300, seed=3,
+            ).critical_value
             summary = summarize(sample)
             from cmselect.critical import gms_selection
 
@@ -195,37 +194,39 @@ class TestCms:
         sample = MomentSample(np.column_stack([g1, g2]))
         schedule = KappaSchedule.parse("sqrt-log-n")
         summary = summarize(sample)
-        from cmselect.critical import cms_selection, gms_selection
+        from cmselect.critical import gms_selection, selection_step
 
         gms_sel = gms_selection(summary, schedule)
-        cms_sel, fallback, _ = cms_selection(sample, summary, schedule)
+        step = selection_step("CMS", sample, summary, schedule)
+        cms_sel, fallback = step.selection, step.tilt_fallback
         assert not fallback
         assert np.isposinf(cms_sel.shifts).sum() > np.isposinf(gms_sel.shifts).sum()
 
     def test_infeasible_tilt_falls_back_and_flags(self):
         sample = MomentSample(np.array([[-2.0], [-1.0], [-1.5], [-0.75]]))
-        report = cms_critical_value(
+        report = run_test(
             sample,
             StatisticKind.MMM,
-            1,
-            KappaSchedule.parse("fixed:1"),
-            MODE_ASYMPTOTIC,
-            0.05,
-            200,
+            "cms",
+            phi=1,
+            schedule=KappaSchedule.parse("fixed:1"),
+            mode=MODE_ASYMPTOTIC,
+            alpha=0.05,
+            n_draws=200,
             seed=0,
-        )
+        ).critical_value
         assert report.tilt_fallback
 
 
 class TestRsw:
     def test_default_beta_is_alpha_over_ten(self):
         sample = normal_sample(50, 2, 40)
-        decision = rsw_test(sample, StatisticKind.MMM, alpha=0.05, n_draws=200, seed=1)
+        decision = run_test(sample, StatisticKind.MMM, "rsw", alpha=0.05, n_draws=200, seed=1)
         assert decision.critical_value.supplementary["beta"] == pytest.approx(0.005)
 
     def test_no_rejection_when_all_means_strongly_positive(self):
         sample = normal_sample(80, 3, 41, shift=5.0)
-        decision = rsw_test(sample, StatisticKind.AQLR, alpha=0.05, n_draws=200, seed=2)
+        decision = run_test(sample, StatisticKind.AQLR, "rsw", alpha=0.05, n_draws=200, seed=2)
         assert not decision.extras["first_stage"]
         assert not decision.reject
 
@@ -245,7 +246,14 @@ class TestRsw:
     def test_beta_domain(self):
         sample = normal_sample(50, 2, 43)
         with pytest.raises(DomainError):
-            rsw_test(sample, StatisticKind.MMM, alpha=0.05, beta=0.06, n_draws=200)
+            run_test(sample, StatisticKind.MMM, "rsw", alpha=0.05, beta=0.06, n_draws=200)
+
+
+def rms_test(sample, kind, tables, seed):
+    return run_test(
+        sample, kind, "rms", mode=MODE_BOOTSTRAP, alpha=0.05, n_draws=200, seed=seed,
+        rms_tables=tables,
+    ).critical_value
 
 
 class TestRms:
@@ -260,14 +268,12 @@ class TestRms:
     def test_missing_tables_disabled(self):
         sample = normal_sample(50, 2, 50)
         with pytest.raises(MissingTable):
-            rms_hook(sample, StatisticKind.AQLR, 0.05, None, MODE_BOOTSTRAP, 200, seed=0)
+            rms_test(sample, StatisticKind.AQLR, None, seed=0)
 
     def test_degenerate_tables_reduce_to_gms(self):
         sample = normal_sample(50, 2, 51)
         kappa_const = float(np.sqrt(np.log(50)))
-        report = rms_hook(
-            sample, StatisticKind.MMM, 0.05, self.tables(kappa_const), MODE_BOOTSTRAP, 200, seed=6
-        )
+        report = rms_test(sample, StatisticKind.MMM, self.tables(kappa_const), seed=6)
         gms = run_test(
             sample, StatisticKind.MMM, "gms", mode=MODE_BOOTSTRAP, alpha=0.05, n_draws=200, seed=6
         )
@@ -276,18 +282,8 @@ class TestRms:
     def test_eta_shift_is_exactly_additive(self):
         sample = normal_sample(50, 2, 52)
         kappa_const = 2.0
-        base = rms_hook(
-            sample, StatisticKind.MMM, 0.05, self.tables(kappa_const), MODE_BOOTSTRAP, 200, seed=7
-        )
-        shifted = rms_hook(
-            sample,
-            StatisticKind.MMM,
-            0.05,
-            self.tables(kappa_const, eta2=0.1),
-            MODE_BOOTSTRAP,
-            200,
-            seed=7,
-        )
+        base = rms_test(sample, StatisticKind.MMM, self.tables(kappa_const), seed=7)
+        shifted = rms_test(sample, StatisticKind.MMM, self.tables(kappa_const, eta2=0.1), seed=7)
         assert shifted.value == pytest.approx(base.value + 0.1, abs=1e-12)
 
     def test_min_off_diagonal_of_negative_family(self):
@@ -322,6 +318,12 @@ class TestRunTest:
         sample = normal_sample(30, 2, 61)
         with pytest.raises(DomainError):
             run_test(sample, StatisticKind.MMM, "subsampling")
+
+    def test_unknown_mode_rejected_for_every_procedure(self):
+        sample = normal_sample(30, 2, 62)
+        for procedure in PROCEDURE_ALIASES:
+            with pytest.raises(DomainError, match="unknown mode"):
+                run_test(sample, StatisticKind.MMM, procedure, mode="bogus", n_draws=200)
 
     def test_rsw_asymptotic_rejected(self):
         sample = normal_sample(30, 2, 62)

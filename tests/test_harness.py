@@ -253,19 +253,41 @@ class TestOtherProcedures:
 
 
 class TestReplay:
-    def test_single_dataset_path_reproduces_harness_decisions(self, tmp_path, result):
-        # Re-derive one replication's sample and bootstrap stream, push it
+    def test_single_dataset_path_reproduces_harness_decisions(self, tmp_path):
+        # Re-derive a replication's sample and bootstrap stream, push it
         # through the CSV loader and the public decision entry point, and
-        # demand the recorded statistic and critical values to the bit.
-        from cmselect import load_csv, run_test
-        from cmselect.critical import MODE_BOOTSTRAP
-        from cmselect.harness import PHASE_NULL
+        # demand the recorded statistic, critical values and decisions to the
+        # bit, for every procedure.
+        from cmselect import RmsTables
+        from cmselect.critical import PROCEDURES
         from cmselect.moments import cholesky_factor, make_toeplitz
+
+        tables = RmsTables(
+            delta_grid=(-1.0, 1.0),
+            kappa_values=(1.5, 2.5),
+            eta1_values=(0.01, 0.03),
+            eta2_by_j={2: 0.02},
+        )
+        result = run_mnrp(small_config(procedures=PROCEDURES, rms_tables=tables, r_mc=13))
+        config = result.config
+        chol = cholesky_factor(make_toeplitz(config.family))
+        # (0, 12) rejects under every procedure, RSW through its first stage,
+        # and its tilt moves the CMS selection away from the GMS one.
+        assert all(cell.rejections[0, 12] for cell in result.cells.values())
+        for kind in config.statistics:
+            assert result.cell("CMS", kind).critical_values[0, 12] != (
+                result.cell("GMS", kind).critical_values[0, 12]
+            )
+        for pattern_idx, rep_idx in ((1, 7), (0, 12)):
+            self.replay(tmp_path, result, tables, chol, pattern_idx, rep_idx)
+
+    def replay(self, tmp_path, result, tables, chol, pattern_idx, rep_idx):
+        from cmselect import load_csv, run_test
+        from cmselect.critical import MODE_BOOTSTRAP, PROCEDURE_ALIASES
+        from cmselect.harness import PHASE_NULL
         from cmselect.streams import BOOTSTRAP, SAMPLE_DRAW
 
         config = result.config
-        pattern_idx, rep_idx = 1, 7
-        chol = cholesky_factor(make_toeplitz(config.family))
         rng = substream(config.seed, PHASE_NULL, pattern_idx, rep_idx, SAMPLE_DRAW)
         sample = simulate_sample(
             config.family,
@@ -282,21 +304,23 @@ class TestReplay:
         loaded = load_csv(csv_path)
         assert np.array_equal(loaded.values, sample.values)
 
-        for proc in ("gms", "cms"):
+        for alias, proc in PROCEDURE_ALIASES.items():
             for kind in config.statistics:
                 decision = run_test(
                     loaded,
                     kind,
-                    proc,
+                    alias,
                     schedule=config.kappa,
                     mode=MODE_BOOTSTRAP,
                     alpha=config.alpha,
                     n_draws=config.b,
+                    rms_tables=tables,
                     rng=substream(config.seed, PHASE_NULL, pattern_idx, rep_idx, BOOTSTRAP),
                 )
-                cell = result.cell(proc.upper(), kind)
+                cell = result.cell(proc, kind)
                 assert decision.statistic == cell.statistic_values[pattern_idx, rep_idx]
                 assert decision.critical_value.value == cell.critical_values[pattern_idx, rep_idx]
+                assert decision.reject == cell.rejections[pattern_idx, rep_idx]
 
 
 class TestEmit:
