@@ -233,7 +233,7 @@ def load_config(path, desk_scale=False, overrides=None) -> tuple:
         alternative_mu=alternatives,
         seed=int(seed),
         infinity_surrogate=float(raw.get("infinity_surrogate", 10.0)),
-        beta=raw.get("beta"),
+        beta=None if raw.get("beta") is None else float(raw["beta"]),
         phi=int(raw.get("phi", 1)),
         rms_tables=tables,
         retain_critical_values=bool(raw.get("retain_critical_values", False)),

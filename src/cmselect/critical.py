@@ -11,9 +11,10 @@ The empirical quantile at level q is the order statistic at index ceil(q * R)
 of the sorted draws, the right-continuous inverse of the empirical CDF.
 
 The bootstrap machinery is shared: one `BootstrapDraws` object per sample
-carries the per-replicate summaries, and every procedure (and both
-statistics) reads from it. That makes comparisons across procedures paired
-by construction whenever they are given the same draws.
+keeps its valid replicates, and every procedure and both statistics draw
+S(G* + shift, Omega*) from it through `statistic_draws`, differing only in
+the shift. That makes comparisons across procedures paired by construction
+whenever they are given the same draws.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,13 +35,14 @@ from .moments import (
     summarize,
 )
 from .selection import KappaSchedule, SelectionVector, kappa as kappa_value, phi_k
-from .statistics import StatisticKind, evaluate, shifted_statistic_batch
+from .statistics import StatisticKind, adjusted_sigma, evaluate, shifted_statistic_batch
 from .streams import ASYMPTOTIC, BOOTSTRAP, substream
 from .tilt import TiltResult, tilt, tilted_selection
 
 # Share of degenerate bootstrap replicates tolerated before aborting.
 _DEGENERATE_CEILING = 0.01
 _VARIANCE_FLOOR = 1e-14
+_ASYMPTOTIC_CHUNK = 200_000
 
 MODE_ASYMPTOTIC = "AsymptoticSim"
 MODE_BOOTSTRAP = "Bootstrap"
@@ -130,6 +133,15 @@ def _check_alpha(alpha: float):
         raise DomainError("alpha must lie in (0, 1/2)")
 
 
+def rsw_beta(alpha: float, beta: float | None = None) -> float:
+    """First-stage level of the two-step test: alpha / 10 unless given, in (0, alpha)."""
+    if beta is None:
+        beta = alpha / 10.0
+    if not 0.0 < beta < alpha:
+        raise DomainError("beta must lie in (0, alpha)")
+    return beta
+
+
 # ---------------------------------------------------------------------------
 # Bootstrap draw bundle
 # ---------------------------------------------------------------------------
@@ -140,9 +152,9 @@ class BootstrapDraws:
 
     Resampling is encoded as multinomial row counts, so means and second
     moments reduce to two matrix products per batch. Replicates in which some
-    column degenerates (zero resampled variance) are flagged and excluded
-    from every quantile; their count is reported on the resulting critical
-    values.
+    column degenerates (zero resampled variance) are flagged in ``valid`` and
+    dropped here, so every per-replicate array holds the valid replicates
+    only; their count is reported on the resulting critical values.
     """
 
     def __init__(self, sample: MomentSample, summary: MomentSummary, n_draws: int, rng: np.random.Generator):
@@ -163,68 +175,43 @@ class BootstrapDraws:
         skipped = int(n_draws - valid.sum())
         if skipped > _DEGENERATE_CEILING * n_draws:
             raise TooManyDegenerate(skipped, n_draws)
+        g_star, sigma_star, var_star = g_star[valid], sigma_star[valid], var_star[valid]
 
-        var_safe = np.where(var_star > 0, var_star, 1.0)
-        sd_star = np.sqrt(var_safe)
+        sd_star = np.sqrt(var_star)
         inv_sd = 1.0 / sd_star
         omega_star = sigma_star * inv_sd[:, :, None] * inv_sd[:, None, :]
+        g_recentered_stud = math.sqrt(n) * (g_star - summary.mean) * inv_sd
 
-        root_n = math.sqrt(n)
-        centered = g_star - summary.mean
-        g_recentered_stud = root_n * centered * inv_sd
-
-        self.sample = sample
-        self.summary = summary
         self.n_draws = n_draws
         self.valid = valid
         self.skipped = skipped
-        self.g_star = g_star
         self.sd_star = sd_star
-        self.sigma_star = sigma_star
         self.omega_star = omega_star
         self.g_recentered_stud = g_recentered_stud
         # Per-replicate minimum of the reverse-centered studentized deviations,
         # the pivot behind the first-stage confidence rectangle.
         self.rectangle_min = np.min(-g_recentered_stud, axis=1)
-        self._omega_adjusted: np.ndarray | None = None
-        self._sigma_adjusted: np.ndarray | None = None
 
-    def _adjusted(self, correlation_scale: bool) -> np.ndarray:
+    @cached_property
+    def _omega_adjusted(self) -> np.ndarray:
+        # Looked up on cmselect.statistics at call time, where the benchmark's
+        # tracer wraps it.
         from .statistics import adjusted_sigma_batch
 
-        if correlation_scale:
-            if self._omega_adjusted is None:
-                self._omega_adjusted = adjusted_sigma_batch(self.omega_star[self.valid])
-            return self._omega_adjusted
-        if self._sigma_adjusted is None:
-            self._sigma_adjusted = adjusted_sigma_batch(self.sigma_star[self.valid])
-        return self._sigma_adjusted
+        return adjusted_sigma_batch(self.omega_star)
 
-    def selection_quantile(self, selection: SelectionVector, kind: StatisticKind, level: float) -> float:
-        draws = self.selection_draws(selection, kind)
-        return upper_quantile(draws, level)
+    def statistic_draws(self, shift: np.ndarray, kind: StatisticKind, omit: np.ndarray | None = None) -> np.ndarray:
+        """Draws of S(G* + shift, Omega*) over the valid replicates, with
+        ``shift`` finite and ``omit`` masking omitted moments."""
+        sigma = self._omega_adjusted if kind is StatisticKind.AQLR else self.omega_star
+        return shifted_statistic_batch(kind, self.g_recentered_stud + shift, sigma, omit)
 
     def selection_draws(self, selection: SelectionVector, kind: StatisticKind) -> np.ndarray:
         omit = selection.omitted
-        finite = np.where(omit, 0.0, selection.shifts)
-        vec = self.g_recentered_stud[self.valid] + finite
-        if kind is StatisticKind.AQLR:
-            return shifted_statistic_batch(kind, vec, self._adjusted(True), omit, pre_adjusted=True)
-        return shifted_statistic_batch(kind, vec, self.omega_star[self.valid], omit)
+        return self.statistic_draws(np.where(omit, 0.0, selection.shifts), kind, omit)
 
-    def shifted_draws(self, shift: np.ndarray, kind: StatisticKind) -> np.ndarray:
-        """Draws of S(sqrt(n)(g* - g + shift), Sigma*), used by the two-step test.
-
-        Evaluated in the scale-invariant form S(G* + sqrt(n) D*^(-1/2) shift,
-        Omega*): the statistic's diagonal invariance makes the two identical,
-        and the studentized form shares its draws with the selection-based
-        procedures, which keeps paired comparisons exact.
-        """
-        root_n = math.sqrt(self.sample.n)
-        vec = self.g_recentered_stud[self.valid] + root_n * shift / self.sd_star[self.valid]
-        if kind is StatisticKind.AQLR:
-            return shifted_statistic_batch(kind, vec, self._adjusted(True), None, pre_adjusted=True)
-        return shifted_statistic_batch(kind, vec, self.omega_star[self.valid], None)
+    def selection_quantile(self, selection: SelectionVector, kind: StatisticKind, level: float) -> float:
+        return upper_quantile(self.selection_draws(selection, kind), level)
 
 
 def _bootstrap_counts(rng: np.random.Generator, n: int, n_draws: int) -> np.ndarray:
@@ -244,7 +231,6 @@ def asymptotic_draws(
     kind: StatisticKind,
     n_draws: int,
     rng: np.random.Generator,
-    chunk: int = 200_000,
 ) -> np.ndarray:
     """Draws of S(Omega^(1/2) Z + shift, Omega) for iid standard normal Z.
 
@@ -256,24 +242,14 @@ def asymptotic_draws(
     factor = cholesky_factor(correlation)
     omit = selection.omitted
     finite = np.where(omit, 0.0, selection.shifts)
-    sigma = correlation
-    pre_adjusted = False
-    if kind is StatisticKind.AQLR:
-        from .statistics import adjusted_sigma
-
-        sigma = adjusted_sigma(correlation)
-        pre_adjusted = True
+    sigma = adjusted_sigma(correlation) if kind is StatisticKind.AQLR else correlation
 
     out = np.empty(n_draws)
-    done = 0
-    while done < n_draws:
-        take = min(chunk, n_draws - done)
+    for done in range(0, n_draws, _ASYMPTOTIC_CHUNK):
+        take = min(_ASYMPTOTIC_CHUNK, n_draws - done)
         z = rng.standard_normal((take, correlation.shape[0]))
         vec = z @ factor.T + finite
-        out[done : done + take] = shifted_statistic_batch(
-            kind, vec, sigma, omit, pre_adjusted=pre_adjusted
-        )
-        done += take
+        out[done : done + take] = shifted_statistic_batch(kind, vec, sigma, omit)
     return out
 
 
@@ -315,15 +291,12 @@ def gms_bootstrap(
     n_draws: int,
     seed: int,
     draws: BootstrapDraws | None = None,
-    rng: np.random.Generator | None = None,
     method: str = "GMS",
 ) -> CriticalValueReport:
     """Bootstrap critical value at a given selection vector."""
     _check_alpha(alpha)
     if draws is None:
-        if rng is None:
-            rng = substream(seed, BOOTSTRAP)
-        draws = BootstrapDraws(sample, summarize(sample), n_draws, rng)
+        draws = BootstrapDraws(sample, summarize(sample), n_draws, substream(seed, BOOTSTRAP))
     return CriticalValueReport(
         value=draws.selection_quantile(selection, kind, 1.0 - alpha),
         method=method,
@@ -347,24 +320,24 @@ def rsw_critical_value(
     kind: StatisticKind,
     alpha: float,
     beta: float,
-):
-    """Critical value and first-stage indicator of the two-step test."""
-    k_inv = upper_quantile(draws.rectangle_min[draws.valid], beta)
-    sd = summary.std
-    lower_edge = summary.mean + sd * k_inv / math.sqrt(summary.n)
+) -> CriticalValueReport:
+    """Critical value of the two-step test; ``supplementary["first_stage"]`` is
+    its first-stage indicator. S(sqrt(n)(g* - g + lambda*), Sigma*) is drawn
+    in the scale-invariant form S(G* + sqrt(n) D*^(-1/2) lambda*, Omega*),
+    which shares its draws with the selection-based procedures."""
+    k_inv = upper_quantile(draws.rectangle_min, beta)
+    lower_edge = summary.mean + summary.std * k_inv / math.sqrt(summary.n)
     lambda_star = np.maximum(lower_edge, 0.0)
     first_stage = bool(np.any(lower_edge < 0.0))
     no_omission = bool(np.all(lambda_star == 0.0))
 
-    t_draws = draws.shifted_draws(lambda_star, kind)
-    value = upper_quantile(t_draws, 1.0 - alpha + beta)
-    selection = SelectionVector(np.zeros(summary.n_moments), source="rsw")
-    report = CriticalValueReport(
-        value=value,
+    shift = math.sqrt(summary.n) * lambda_star / draws.sd_star
+    return CriticalValueReport(
+        value=upper_quantile(draws.statistic_draws(shift, kind), 1.0 - alpha + beta),
         method="RSW",
         mode=MODE_BOOTSTRAP,
         draws=draws.n_draws,
-        selection=selection,
+        selection=SelectionVector(np.zeros(summary.n_moments), source="rsw"),
         alpha=alpha,
         supplementary={
             "beta": beta,
@@ -375,7 +348,6 @@ def rsw_critical_value(
         },
         skipped_draws=draws.skipped,
     )
-    return report, first_stage
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +497,6 @@ def run_test(
     beta: float | None = None,
     rms_tables: RmsTables | None = None,
     rng: np.random.Generator | None = None,
-    draws: BootstrapDraws | None = None,
     **phi_params,
 ) -> TestDecision:
     """Evaluate the statistic and one procedure's critical value on a sample.
@@ -546,21 +517,20 @@ def run_test(
     if name == "RSW":
         if mode != MODE_BOOTSTRAP:
             raise DomainError("the two-step procedure is bootstrap-only")
-        if beta is None:
-            beta = alpha / 10.0
-        if not 0.0 < beta < alpha:
-            raise DomainError("beta must lie in (0, alpha)")
+        beta = rsw_beta(alpha, beta)
     if schedule is None:
         schedule = KappaSchedule.parse("sqrt-log-n")
     summary = summarize(sample)
-    if mode == MODE_BOOTSTRAP and draws is None:
+    draws = None
+    if mode == MODE_BOOTSTRAP:
         if rng is None:
             rng = substream(seed, BOOTSTRAP)
         draws = BootstrapDraws(sample, summary, n_draws, rng)
     statistic = evaluate(kind, summary)
 
     if name == "RSW":
-        report, first_stage = rsw_critical_value(draws, summary, kind, alpha, beta)
+        report = rsw_critical_value(draws, summary, kind, alpha, beta)
+        first_stage = report.supplementary["first_stage"]
         reject = bool(statistic > report.value and first_stage)
         return TestDecision(statistic, report, reject, {"first_stage": first_stage})
 

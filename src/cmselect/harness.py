@@ -33,6 +33,8 @@ from .critical import (
     PROCEDURES,
     BootstrapDraws,
     RmsTables,
+    _check_alpha,
+    rsw_beta,
     rsw_critical_value,
     selection_step,
     upper_quantile,
@@ -109,6 +111,8 @@ class ExperimentConfig:
             raise DomainError("bootstrap draw count must be at least 100")
         if self.J != self.family.J:
             raise DomainError("J must match the correlation family")
+        _check_alpha(self.alpha)
+        rsw_beta(self.alpha, self.beta)
         for proc in self.procedures:
             if proc not in PROCEDURES:
                 raise DomainError(f"unknown procedure {proc!r}")
@@ -130,7 +134,7 @@ class ExperimentConfig:
 
     @property
     def beta_value(self) -> float:
-        return self.alpha / 10.0 if self.beta is None else self.beta
+        return rsw_beta(self.alpha, self.beta)
 
 
 @dataclass
@@ -246,9 +250,9 @@ def _replicate(config: ExperimentConfig, chol, mu, phase: int, pattern_idx: int,
         if "RSW" in config.procedures:
             beta = config.beta_value
             for kind in config.statistics:
-                report, first_stage = rsw_critical_value(draws, summary, kind, config.alpha, beta)
+                report = rsw_critical_value(draws, summary, kind, config.alpha, beta)
                 cvs[("RSW", kind)] = report.value
-                flags["rsw_first_stage"] = first_stage
+                flags["rsw_first_stage"] = report.supplementary["first_stage"]
                 flags["rsw_no_omission"] = report.supplementary["no_omission"]
 
         return {"stat": stats, "cv": cvs, "flags": flags}

@@ -55,11 +55,11 @@ class MomentSample:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Mean, covariance (divisor n), variance diagonal and correlation of a sample."""
+    """Mean, covariance (divisor n), variances and correlation of a sample."""
 
     mean: np.ndarray
     covariance: np.ndarray
-    diag: np.ndarray
+    var: np.ndarray
     correlation: np.ndarray
     n: int
 
@@ -69,8 +69,8 @@ class MomentSummary:
 
     @property
     def std(self) -> np.ndarray:
-        """Per-column standard deviations (square roots of the diagonal)."""
-        return np.sqrt(np.diag(self.diag))
+        """Per-column standard deviations (square roots of the variances)."""
+        return np.sqrt(self.var)
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class CorrelationFamily:
 
 
 def summarize(sample: MomentSample) -> MomentSummary:
-    """Compute mean, covariance (divisor n), diagonal and correlation.
+    """Compute mean, covariance (divisor n), variances and correlation.
 
     Raises DegenerateColumn if any column has zero sample variance, since
     every downstream studentization divides by the column standard deviation.
@@ -140,7 +140,7 @@ def summarize(sample: MomentSample) -> MomentSummary:
     return MomentSummary(
         mean=mean,
         covariance=cov,
-        diag=np.diag(var),
+        var=var,
         correlation=corr,
         n=n,
     )
@@ -154,7 +154,7 @@ def studentized_scaled_mean(summary: MomentSummary, kappa: float) -> np.ndarray:
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    var = np.diag(summary.diag)
+    var = summary.var
     bad = np.nonzero(var <= 0)[0]
     if bad.size:
         raise DegenerateColumn(int(bad[0]))

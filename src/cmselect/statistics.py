@@ -163,17 +163,16 @@ def shifted_statistic_batch(
     vec: np.ndarray,
     sigma: np.ndarray,
     omit: np.ndarray | None = None,
-    pre_adjusted: bool = False,
 ) -> np.ndarray:
     """Evaluate S(vec_b, sigma_b) across a stack of draws.
 
     ``vec`` has shape (B, J) with finite entries; ``omit`` is a length-J
     boolean mask of omitted moments shared by every draw (the selection is
-    computed from the data, not per draw). ``sigma`` is (B, J, J) or (J, J).
-    For the quadratic-form statistic the determinant adjustment is applied to
-    the full matrix before omitted rows and columns are deleted, matching the
-    scalar evaluation order; pass ``pre_adjusted`` when the matrices already
-    carry it.
+    computed from the data, not per draw). ``sigma`` is (B, J, J) or (J, J)
+    and is used as supplied, like the scalar `aqlr`: callers of the
+    quadratic-form statistic apply the determinant adjustment to the full
+    matrices first (`adjusted_sigma_batch`), and omitted rows and columns are
+    deleted after it.
     """
     batch, j_total = vec.shape
     if omit is None:
@@ -189,7 +188,6 @@ def shifted_statistic_batch(
         z = vec[:, keep] / np.sqrt(var)
         return np.sum(np.minimum(z, 0.0) ** 2, axis=1)
 
-    adjusted = sigma if pre_adjusted else adjusted_sigma_batch(np.ascontiguousarray(sigma))
-    sub = adjusted[np.ix_(np.arange(batch), keep, keep)]
+    sub = sigma[np.ix_(np.arange(batch), keep, keep)]
     _, values = nonneg_projection_batch(sub, vec[:, keep])
     return values

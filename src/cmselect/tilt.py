@@ -321,7 +321,7 @@ def tilted_selection(
     else:
         if summary is None:
             summary = summarize(sample)
-        var = np.diag(summary.diag)
+        var = summary.var
     bad = np.nonzero(var <= 0)[0]
     if bad.size:
         raise DegenerateColumn(int(bad[0]))

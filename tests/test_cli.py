@@ -249,6 +249,23 @@ class TestCmdSimulate:
         assert main(["simulate", str(path)]) == 2
         assert "'procedure'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "levels", [{"alpha": 0.7}, {"alpha": 0.05, "beta": 0.06}, {"beta": "0.06"}]
+    )
+    def test_bad_alpha_or_beta_exits_two_before_replicating(self, tmp_path, capsys, monkeypatch, levels):
+        import cmselect.harness
+
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(cmselect.harness, "_replicate", no_replication)
+        path = tmp_path / "levels.json"
+        path.write_text(json.dumps(
+            {"J": 2, "family": "Neg", "n": 50, "r_mc": 2, "b": 100, "procedures": ["RSW"], **levels}
+        ))
+        assert main(["simulate", str(path)]) == 2
+        assert "must lie in" in capsys.readouterr().err
+
     def test_failed_replication_exits_two(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(

@@ -234,14 +234,28 @@ class TestRsw:
         sample = normal_sample(60, 2, 42, shift=-0.5)
         summary = summarize(sample)
         draws = BootstrapDraws(sample, summary, 300, substream(3, 1))
-        report, first_stage = rsw_critical_value(draws, summary, StatisticKind.MMM, 0.05, 0.005)
+        report = rsw_critical_value(draws, summary, StatisticKind.MMM, 0.05, 0.005)
+        first_stage = report.supplementary["first_stage"]
         k_inv = report.supplementary["k_inv_beta"]
         lower = summary.mean + summary.std * k_inv / np.sqrt(summary.n)
         assert np.allclose(report.supplementary["lambda_star"], np.maximum(lower, 0.0))
         assert first_stage == bool(np.any(lower < 0.0))
         # k_inv is the beta-quantile of the bootstrapped minima
-        mins = draws.rectangle_min[draws.valid]
+        mins = draws.rectangle_min
         assert k_inv == np.sort(mins)[int(np.ceil(0.005 * mins.size)) - 1]
+
+    def test_reads_the_selection_draws(self):
+        # With every mean strongly negative, lambda* = 0 and the two-step
+        # critical value is the zero-selection quantile of the same draws.
+        sample = normal_sample(60, 3, 44, shift=-3.0)
+        summary = summarize(sample)
+        draws = BootstrapDraws(sample, summary, 300, substream(4, 1))
+        alpha, beta = 0.05, 0.005
+        for kind in StatisticKind:
+            report = rsw_critical_value(draws, summary, kind, alpha, beta)
+            assert np.all(report.supplementary["lambda_star"] == 0.0)
+            expected = draws.selection_quantile(zeros_selection(3), kind, 1.0 - alpha + beta)
+            assert report.value == expected
 
     def test_beta_domain(self):
         sample = normal_sample(50, 2, 43)

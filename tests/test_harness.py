@@ -98,6 +98,14 @@ class TestConfigValidation:
     def test_beta_defaults_to_alpha_over_ten(self):
         assert small_config().beta_value == pytest.approx(0.005)
 
+    def test_rejects_alpha_outside_domain(self):
+        with pytest.raises(DomainError, match="alpha"):
+            small_config(alpha=0.7)
+
+    def test_rejects_beta_outside_domain(self):
+        with pytest.raises(DomainError, match="beta"):
+            small_config(alpha=0.05, beta=0.06)
+
 
 @pytest.fixture(scope="module")
 def result():

@@ -44,7 +44,7 @@ def test_covariance_reconstructs_from_correlation_and_diag():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((40, 3)) * np.array([0.5, 2.0, 7.0])
     summary = summarize(MomentSample(x))
-    sd = np.sqrt(np.diag(summary.diag))
+    sd = np.sqrt(summary.var)
     rebuilt = summary.correlation * np.outer(sd, sd)
     assert np.allclose(rebuilt, summary.covariance, rtol=1e-10)
 

@@ -13,7 +13,7 @@ from cmselect import (
     mmm,
     summarize,
 )
-from cmselect.statistics import adjusted_sigma, shifted_statistic_batch
+from cmselect.statistics import adjusted_sigma, adjusted_sigma_batch, shifted_statistic_batch
 
 
 def random_spd(rng, j, spread=1.0):
@@ -192,7 +192,8 @@ def test_batch_matches_scalar_evaluation():
     vec = rng.standard_normal((b, j)) * 1.5
     omit = np.array([False, True, False, False])
     for kind in StatisticKind:
-        batch = shifted_statistic_batch(kind, vec, sigma, omit)
+        supplied = adjusted_sigma_batch(sigma) if kind is StatisticKind.AQLR else sigma
+        batch = shifted_statistic_batch(kind, vec, supplied, omit)
         for i in range(b):
             full = np.where(omit, np.inf, vec[i])
             if kind is StatisticKind.AQLR:
