@@ -15,7 +15,6 @@ from .critical import (
     RmsTables,
     TestDecision,
     gms_asymptotic,
-    gms_bootstrap,
     run_test,
     upper_quantile,
 )

@@ -17,6 +17,7 @@ from pathlib import Path
 from .critical import MODE_ASYMPTOTIC, MODE_BOOTSTRAP, PROCEDURE_ALIASES, RmsTables, run_test
 from .errors import CmselectError
 from .harness import (
+    CORRECTED_PROCEDURES,
     ExperimentConfig,
     corrections_from,
     default_replications,
@@ -243,6 +244,13 @@ def load_config(path, desk_scale=False, overrides=None) -> tuple:
     for phase in phases:
         if phase not in ("mnrp", "power"):
             raise CmselectError(f"unknown phase {phase!r} in config")
+    if "power" in phases:
+        if not alternatives:
+            raise CmselectError("the power phase needs at least one alternative mean vector")
+        corrected = [proc for proc in config.procedures if proc in CORRECTED_PROCEDURES]
+        if corrected and "RSW" not in config.procedures:
+            names = ", ".join(corrected)
+            raise CmselectError(f"the power phase corrects {names} against RSW; add RSW to procedures")
     return config, phases
 
 
@@ -296,7 +304,7 @@ def cmd_simulate(args) -> int:
             for line in _summary_lines(mnrp_result):
                 print(line)
     if "power" in phases:
-        corrections = corrections_from(results["mnrp"]) if "RSW" in config.procedures else {}
+        corrections = corrections_from(results["mnrp"])
         power_result = run_power(config, corrections)
         results["power"] = power_result
         for line in _summary_lines(power_result):

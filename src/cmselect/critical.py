@@ -13,8 +13,9 @@ of the sorted draws, the right-continuous inverse of the empirical CDF.
 The bootstrap machinery is shared: one `BootstrapDraws` object per sample
 keeps its valid replicates, and every procedure and both statistics draw
 S(G* + shift, Omega*) from it through `statistic_draws`, differing only in
-the shift. That makes comparisons across procedures paired by construction
-whenever they are given the same draws.
+the shift. `bootstrap_critical_values` reads every requested procedure's
+critical value off one such object; `run_test` and the Monte Carlo harness
+both go through it, so comparisons across procedures are paired.
 """
 
 from __future__ import annotations
@@ -283,31 +284,6 @@ def gms_asymptotic(
     )
 
 
-def gms_bootstrap(
-    sample: MomentSample,
-    selection: SelectionVector,
-    kind: StatisticKind,
-    alpha: float,
-    n_draws: int,
-    seed: int,
-    draws: BootstrapDraws | None = None,
-    method: str = "GMS",
-) -> CriticalValueReport:
-    """Bootstrap critical value at a given selection vector."""
-    _check_alpha(alpha)
-    if draws is None:
-        draws = BootstrapDraws(sample, summarize(sample), n_draws, substream(seed, BOOTSTRAP))
-    return CriticalValueReport(
-        value=draws.selection_quantile(selection, kind, 1.0 - alpha),
-        method=method,
-        mode=MODE_BOOTSTRAP,
-        draws=draws.n_draws,
-        selection=selection,
-        alpha=alpha,
-        skipped_draws=draws.skipped,
-    )
-
-
 def gms_selection(summary: MomentSummary, schedule: KappaSchedule, phi: int = 1, **phi_params) -> SelectionVector:
     """Selection vector from the raw studentized means."""
     xi = studentized_scaled_mean(summary, kappa_value(schedule, summary.n))
@@ -484,6 +460,47 @@ def selection_step(
     )
 
 
+def bootstrap_critical_values(
+    sample: MomentSample,
+    summary: MomentSummary,
+    draws: BootstrapDraws,
+    procedures,
+    kinds,
+    alpha: float,
+    beta: float | None,
+    schedule: KappaSchedule,
+    phi: int = 1,
+    rms_tables: RmsTables | None = None,
+    tilt_result: TiltResult | None = None,
+    **phi_params,
+) -> dict:
+    """{(procedure, kind): CriticalValueReport} for every requested pair on
+    one sample, all read off the same ``draws`` and therefore paired.
+
+    RSW goes through `rsw_critical_value` at first-stage level ``beta``; every
+    other procedure adds its selection step's constant to the selection
+    quantile, and procedures with equal selections share that quantile.
+    """
+    reports = {}
+    quantiles: dict = {}
+    for proc in procedures:
+        if proc == "RSW":
+            for kind in kinds:
+                reports[(proc, kind)] = rsw_critical_value(draws, summary, kind, alpha, beta)
+            continue
+        step = selection_step(proc, sample, summary, schedule, phi, rms_tables, tilt_result, **phi_params)
+        for kind in kinds:
+            key = (kind, step.selection.shifts.tobytes())
+            if key not in quantiles:
+                quantiles[key] = draws.selection_quantile(step.selection, kind, 1.0 - alpha)
+            reports[(proc, kind)] = CriticalValueReport(
+                value=quantiles[key] + step.additive, method=proc, mode=MODE_BOOTSTRAP, draws=draws.n_draws,
+                selection=step.selection, alpha=alpha, supplementary=step.supplementary,
+                tilt_fallback=step.tilt_fallback, skipped_draws=draws.skipped,
+            )
+    return reports
+
+
 def run_test(
     sample: MomentSample,
     kind: StatisticKind,
@@ -521,33 +538,31 @@ def run_test(
     if schedule is None:
         schedule = KappaSchedule.parse("sqrt-log-n")
     summary = summarize(sample)
-    draws = None
     if mode == MODE_BOOTSTRAP:
-        if rng is None:
-            rng = substream(seed, BOOTSTRAP)
-        draws = BootstrapDraws(sample, summary, n_draws, rng)
+        draws = BootstrapDraws(sample, summary, n_draws, substream(seed, BOOTSTRAP) if rng is None else rng)
     statistic = evaluate(kind, summary)
-
-    if name == "RSW":
-        report = rsw_critical_value(draws, summary, kind, alpha, beta)
-        first_stage = report.supplementary["first_stage"]
-        reject = bool(statistic > report.value and first_stage)
-        return TestDecision(statistic, report, reject, {"first_stage": first_stage})
 
     extras: dict = {}
     tilt_result = None
     if name in ("CMS", "CMS_FC"):
         tilt_result = tilt(sample)
         extras["tilt"] = tilt_result.diagnostics()
-    step = selection_step(name, sample, summary, schedule, phi, rms_tables, tilt_result, **phi_params)
     if mode == MODE_BOOTSTRAP:
-        report = gms_bootstrap(sample, step.selection, kind, alpha, n_draws, seed, draws=draws, method=name)
+        report = bootstrap_critical_values(
+            sample, summary, draws, (name,), (kind,), alpha, beta, schedule, phi, rms_tables, tilt_result,
+            **phi_params,
+        )[(name, kind)]
     else:
+        step = selection_step(name, sample, summary, schedule, phi, rms_tables, tilt_result, **phi_params)
         report = gms_asymptotic(summary, step.selection, kind, alpha, n_draws, seed, rng=rng, method=name)
-    report = replace(
-        report,
-        value=report.value + step.additive,
-        supplementary=step.supplementary,
-        tilt_fallback=step.tilt_fallback,
-    )
-    return TestDecision(statistic, report, bool(statistic > report.value), extras)
+        report = replace(
+            report,
+            value=report.value + step.additive,
+            supplementary=step.supplementary,
+            tilt_fallback=step.tilt_fallback,
+        )
+    reject = bool(statistic > report.value)
+    if name == "RSW":
+        extras["first_stage"] = report.supplementary["first_stage"]
+        reject = reject and extras["first_stage"]
+    return TestDecision(statistic, report, reject, extras)

@@ -34,9 +34,8 @@ from .critical import (
     BootstrapDraws,
     RmsTables,
     _check_alpha,
+    bootstrap_critical_values,
     rsw_beta,
-    rsw_critical_value,
-    selection_step,
     upper_quantile,
 )
 from .errors import CmselectError, DomainError, MissingBaseline
@@ -111,6 +110,10 @@ class ExperimentConfig:
             raise DomainError("bootstrap draw count must be at least 100")
         if self.J != self.family.J:
             raise DomainError("J must match the correlation family")
+        if self.threads < 1:
+            raise DomainError("threads must be at least 1")
+        if not 0.0 < self.infinity_surrogate < math.inf:
+            raise DomainError("infinity_surrogate must be positive and finite")
         _check_alpha(self.alpha)
         rsw_beta(self.alpha, self.beta)
         for proc in self.procedures:
@@ -151,20 +154,6 @@ class CellResult:
     mnrp: float | None = None
     mnrp_pattern: int | None = None
     correction: float = 0.0
-
-    @classmethod
-    def from_draws(cls, procedure, statistic, stats, cvs, rejections, r_mc):
-        rates = rejections.mean(axis=1)
-        ses = np.sqrt(rates * (1.0 - rates) / r_mc)
-        return cls(
-            procedure=procedure,
-            statistic=statistic,
-            statistic_values=stats,
-            critical_values=cvs,
-            rejections=rejections,
-            rates=rates,
-            standard_errors=ses,
-        )
 
 
 @dataclass
@@ -210,11 +199,13 @@ def simulate_sample(
 # ---------------------------------------------------------------------------
 
 
-def _replicate(config: ExperimentConfig, chol, mu, phase: int, pattern_idx: int, rep_idx: int):
+def _replicate(config: ExperimentConfig, chol, mu, phase: int, pattern_idx: int, rep_idx: int) -> dict:
     """Run every configured procedure and statistic on one synthetic sample.
 
-    Returns {"stat": {kind: T}, "cv": {(proc, kind): value}, "flags": {...}}.
-    A failure is re-raised with the replication coordinates attached.
+    Returns one row of the phase table: {kind: T, (procedure, kind): c,
+    "tilt_infeasible", "rsw_first", "rsw_keep_all"}, with every c read by
+    `bootstrap_critical_values` off the replication's one set of draws. A
+    failure is re-raised with the replication coordinates attached.
     """
     try:
         rng_sample = substream(config.seed, phase, pattern_idx, rep_idx, SAMPLE_DRAW)
@@ -225,37 +216,20 @@ def _replicate(config: ExperimentConfig, chol, mu, phase: int, pattern_idx: int,
         rng_boot = substream(config.seed, phase, pattern_idx, rep_idx, BOOTSTRAP)
         draws = BootstrapDraws(sample, summary, config.b, rng_boot)
 
-        stats = {kind: evaluate(kind, summary) for kind in config.statistics}
-        flags = {}
+        row = {kind: evaluate(kind, summary) for kind in config.statistics}
         tilt_result = None
         if "CMS" in config.procedures or "CMS_FC" in config.procedures:
             tilt_result = tilt(sample)
-            flags["tilt_infeasible"] = not tilt_result.solved
-
-        cvs = {}
-        quantile_cache: dict = {}
-        level = 1.0 - config.alpha
-        for proc in config.procedures:
-            if proc == "RSW":
-                continue
-            step = selection_step(
-                proc, sample, summary, config.kappa, config.phi, config.rms_tables, tilt_result
-            )
-            for kind in config.statistics:
-                key = (kind, step.selection.shifts.tobytes())
-                if key not in quantile_cache:
-                    quantile_cache[key] = draws.selection_quantile(step.selection, kind, level)
-                cvs[(proc, kind)] = quantile_cache[key] + step.additive
-
-        if "RSW" in config.procedures:
-            beta = config.beta_value
-            for kind in config.statistics:
-                report = rsw_critical_value(draws, summary, kind, config.alpha, beta)
-                cvs[("RSW", kind)] = report.value
-                flags["rsw_first_stage"] = report.supplementary["first_stage"]
-                flags["rsw_no_omission"] = report.supplementary["no_omission"]
-
-        return {"stat": stats, "cv": cvs, "flags": flags}
+        reports = bootstrap_critical_values(
+            sample, summary, draws, config.procedures, config.statistics, config.alpha,
+            config.beta_value, config.kappa, config.phi, config.rms_tables, tilt_result,
+        )
+        row.update((key, report.value) for key, report in reports.items())
+        rsw = next((r.supplementary for (proc, _), r in reports.items() if proc == "RSW"), {})
+        row["tilt_infeasible"] = tilt_result is not None and not tilt_result.solved
+        row["rsw_first"] = rsw.get("first_stage", False)
+        row["rsw_keep_all"] = rsw.get("no_omission", False)
+        return row
     except Exception as err:
         raise CmselectError(
             f"replication failed at pattern {pattern_idx}, replication {rep_idx}: {err}"
@@ -268,56 +242,27 @@ def _replicate(config: ExperimentConfig, chol, mu, phase: int, pattern_idx: int,
 
 
 def _run_phase(config: ExperimentConfig, patterns, phase: int) -> dict:
-    """Execute r_mc replications at every pattern; returns raw arrays."""
-    n_patterns = len(patterns)
-    r_mc = config.r_mc
+    """Execute r_mc replications at every pattern; returns the phase table,
+    one (patterns, r_mc) array per key of a `_replicate` row. Replications
+    run on ``config.threads`` threads and land in the same cells either way."""
     chol = cholesky_factor(make_toeplitz(config.family))
+    shape = (len(patterns), config.r_mc)
+    keys = (*config.statistics, *itertools.product(config.procedures, config.statistics))
+    table = {key: np.empty(shape) for key in keys}
+    table.update((flag, np.empty(shape, dtype=bool)) for flag in ("tilt_infeasible", "rsw_first", "rsw_keep_all"))
 
-    stat_arr = {
-        kind: np.empty((n_patterns, r_mc)) for kind in config.statistics
-    }
-    cv_arr = {
-        (proc, kind): np.empty((n_patterns, r_mc))
-        for proc in config.procedures
-        for kind in config.statistics
-    }
-    tilt_infeasible = np.zeros((n_patterns, r_mc), dtype=bool)
-    rsw_first = np.zeros((n_patterns, r_mc), dtype=bool)
-    rsw_keep_all = np.zeros((n_patterns, r_mc), dtype=bool)
+    tasks = [(p, r) for p in range(shape[0]) for r in range(shape[1])]
 
     def run_one(task):
         p, r = task
-        return p, r, _replicate(config, chol, patterns[p], phase, p, r)
+        return _replicate(config, chol, patterns[p], phase, p, r)
 
-    tasks = [(p, r) for p in range(n_patterns) for r in range(r_mc)]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = pool.map(run_one, tasks, chunksize=32)
-            for p, r, record in results:
-                _store(record, p, r, stat_arr, cv_arr, tilt_infeasible, rsw_first, rsw_keep_all)
-    else:
-        for task in tasks:
-            p, r, record = run_one(task)
-            _store(record, p, r, stat_arr, cv_arr, tilt_infeasible, rsw_first, rsw_keep_all)
-
-    return {
-        "stat": stat_arr,
-        "cv": cv_arr,
-        "tilt_infeasible": tilt_infeasible,
-        "rsw_first": rsw_first,
-        "rsw_keep_all": rsw_keep_all,
-    }
-
-
-def _store(record, p, r, stat_arr, cv_arr, tilt_infeasible, rsw_first, rsw_keep_all):
-    for kind, value in record["stat"].items():
-        stat_arr[kind][p, r] = value
-    for key, value in record["cv"].items():
-        cv_arr[key][p, r] = value
-    flags = record["flags"]
-    tilt_infeasible[p, r] = flags.get("tilt_infeasible", False)
-    rsw_first[p, r] = flags.get("rsw_first_stage", False)
-    rsw_keep_all[p, r] = flags.get("rsw_no_omission", False)
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        rows = pool.map(run_one, tasks) if config.threads > 1 else map(run_one, tasks)
+        for (p, r), row in zip(tasks, rows):
+            for key, value in row.items():
+                table[key][p, r] = value
+    return table
 
 
 def run_mnrp(config: ExperimentConfig, patterns=None) -> ExperimentResult:
@@ -340,7 +285,7 @@ def run_mnrp(config: ExperimentConfig, patterns=None) -> ExperimentResult:
 
 
 def _tabulate(config: ExperimentConfig, raw: dict, corrections: dict | None = None):
-    """Cells and diagnostics of one phase from its raw arrays.
+    """Cells and diagnostics of one phase from its `_run_phase` table.
 
     ``corrections`` (power runs) maps (procedure, statistic-name) to the
     constant added to that cell's critical values; cells without an entry
@@ -350,8 +295,8 @@ def _tabulate(config: ExperimentConfig, raw: dict, corrections: dict | None = No
     cells = {}
     for proc in config.procedures:
         for kind in config.statistics:
-            stats = raw["stat"][kind]
-            cvs = raw["cv"][(proc, kind)]
+            stats = raw[kind]
+            cvs = raw[(proc, kind)]
             delta = 0.0
             if corrections is not None:
                 delta = corrections.get((proc, kind.value), 0.0)
@@ -359,9 +304,11 @@ def _tabulate(config: ExperimentConfig, raw: dict, corrections: dict | None = No
             rejections = stats > cvs
             if proc == "RSW":
                 rejections = rejections & raw["rsw_first"]
-            cell = CellResult.from_draws(proc, kind.value, stats, cvs, rejections, config.r_mc)
-            cell.correction = delta
-            cells[(proc, kind.value)] = cell
+            rates = rejections.mean(axis=1)
+            ses = np.sqrt(rates * (1.0 - rates) / config.r_mc)
+            cells[(proc, kind.value)] = CellResult(
+                proc, kind.value, stats, cvs, rejections, rates, ses, correction=delta
+            )
 
     has_rsw = "RSW" in config.procedures
     diagnostics = {
@@ -454,9 +401,9 @@ def _ordering_diagnostics(config: ExperimentConfig, raw: dict) -> dict:
     if not needed.issubset(set(config.procedures)):
         return out
     for kind in config.statistics:
-        cms = raw["cv"][("CMS", kind)]
-        gms = raw["cv"][("GMS", kind)]
-        rsw = raw["cv"][("RSW", kind)]
+        cms = raw[("CMS", kind)]
+        gms = raw[("GMS", kind)]
+        rsw = raw[("RSW", kind)]
         tol = 1e-12
         event = (cms <= gms + tol) & (gms <= rsw + tol)
         out[f"cv_ordering_rate_{kind.value}"] = float(event.mean())

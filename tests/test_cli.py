@@ -250,21 +250,36 @@ class TestCmdSimulate:
         assert "'procedure'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "levels", [{"alpha": 0.7}, {"alpha": 0.05, "beta": 0.06}, {"beta": "0.06"}]
+        "fields, fragment",
+        [
+            pytest.param({"alpha": 0.7}, "must lie in", id="alpha"),
+            pytest.param({"alpha": 0.05, "beta": 0.06}, "must lie in", id="beta-above-alpha"),
+            pytest.param({"beta": "0.06"}, "must lie in", id="beta-string"),
+            pytest.param({"threads": 0}, "threads must be at least 1", id="threads-zero"),
+            pytest.param({"threads": -3}, "threads must be at least 1", id="threads-negative"),
+            pytest.param({"infinity_surrogate": -10}, "positive and finite", id="surrogate-negative"),
+            pytest.param({"infinity_surrogate": 0}, "positive and finite", id="surrogate-zero"),
+            pytest.param({"run": ["power"]}, "at least one alternative", id="power-without-alternatives"),
+            pytest.param(
+                {"procedures": ["GMS", "CMS"], "alternatives": [[-1, 1]], "run": ["mnrp", "power"]},
+                "add RSW to procedures",
+                id="power-without-rsw",
+            ),
+        ],
     )
-    def test_bad_alpha_or_beta_exits_two_before_replicating(self, tmp_path, capsys, monkeypatch, levels):
+    def test_invalid_config_exits_two_before_replicating(self, tmp_path, capsys, monkeypatch, fields, fragment):
         import cmselect.harness
 
         def no_replication(*args):
             raise AssertionError("a replication ran")
 
         monkeypatch.setattr(cmselect.harness, "_replicate", no_replication)
-        path = tmp_path / "levels.json"
+        path = tmp_path / "invalid.json"
         path.write_text(json.dumps(
-            {"J": 2, "family": "Neg", "n": 50, "r_mc": 2, "b": 100, "procedures": ["RSW"], **levels}
+            {"J": 2, "family": "Neg", "n": 50, "r_mc": 2, "b": 100, "procedures": ["RSW"], **fields}
         ))
         assert main(["simulate", str(path)]) == 2
-        assert "must lie in" in capsys.readouterr().err
+        assert fragment in capsys.readouterr().err
 
     def test_failed_replication_exits_two(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"

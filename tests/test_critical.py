@@ -12,7 +12,6 @@ from cmselect import (
     StatisticKind,
     TooManyDegenerate,
     gms_asymptotic,
-    gms_bootstrap,
     run_test,
     summarize,
     upper_quantile,
@@ -22,11 +21,12 @@ from cmselect.critical import (
     MODE_BOOTSTRAP,
     PROCEDURE_ALIASES,
     asymptotic_draws,
+    bootstrap_critical_values,
     min_off_diagonal,
     rsw_critical_value,
 )
 from cmselect.selection import KappaSchedule
-from cmselect.streams import substream
+from cmselect.streams import BOOTSTRAP, substream
 
 
 def normal_sample(n, j, seed, shift=0.0):
@@ -121,7 +121,7 @@ class TestNestingWithCommonDraws:
                 low, high = nested_selection_pair(rng, 3)
                 a = run_gms_boot(sample, low, kind, seed=trial)
                 b = run_gms_boot(sample, high, kind, seed=trial)
-                assert b.value <= a.value
+                assert b <= a
 
     def test_alpha_monotonicity(self):
         sample = normal_sample(60, 2, 14)
@@ -134,14 +134,15 @@ class TestNestingWithCommonDraws:
 
 
 def run_gms_boot(sample, selection, kind, seed=0, n_draws=300, alpha=0.05):
-    return gms_bootstrap(sample, selection, kind, alpha, n_draws, seed=seed)
+    draws = BootstrapDraws(sample, summarize(sample), n_draws, substream(seed, BOOTSTRAP))
+    return draws.selection_quantile(selection, kind, 1.0 - alpha)
 
 
 class TestBootstrap:
     def test_all_omitted_gives_zero(self):
         sample = normal_sample(50, 2, 20, shift=-3.0)
-        report = run_gms_boot(sample, omit_all_selection(2), StatisticKind.AQLR)
-        assert report.value == 0.0
+        value = run_gms_boot(sample, omit_all_selection(2), StatisticKind.AQLR)
+        assert value == 0.0
 
     def test_quantile_is_an_order_statistic_of_the_draws(self):
         sample = normal_sample(30, 2, 21)
@@ -155,13 +156,38 @@ class TestBootstrap:
         sample = normal_sample(40, 3, 22)
         a = run_gms_boot(sample, zeros_selection(3), StatisticKind.AQLR, seed=7)
         b = run_gms_boot(sample, zeros_selection(3), StatisticKind.AQLR, seed=7)
-        assert a.value == b.value
+        assert a == b
 
     def test_too_many_degenerate(self):
         # two observations: half of all resamples duplicate a single row
         sample = MomentSample(np.array([[0.0], [1.0]]))
         with pytest.raises(TooManyDegenerate):
             BootstrapDraws(sample, summarize(sample), 200, substream(1, 1))
+
+
+class TestBootstrapCriticalValues:
+    def test_equal_selections_share_one_quantile(self, monkeypatch):
+        # All means strongly positive: the tilt is the identity, so CMS
+        # selects exactly what GMS selects and reads the same quantile.
+        sample = normal_sample(60, 3, 45, shift=4.0)
+        summary = summarize(sample)
+        draws = BootstrapDraws(sample, summary, 200, substream(6, BOOTSTRAP))
+        calls = []
+        original = BootstrapDraws.selection_quantile
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(BootstrapDraws, "selection_quantile", counted)
+        kinds = (StatisticKind.MMM, StatisticKind.AQLR)
+        schedule = KappaSchedule.parse("sqrt-log-n")
+        reports = bootstrap_critical_values(sample, summary, draws, ("GMS", "CMS"), kinds, 0.05, None, schedule)
+        assert len(calls) == 2
+        for kind in kinds:
+            gms, cms = reports[("GMS", kind)], reports[("CMS", kind)]
+            assert (gms.method, cms.method) == ("GMS", "CMS")
+            assert cms.value == gms.value
 
 
 class TestCms:
@@ -178,10 +204,10 @@ class TestCms:
 
             sel = gms_selection(summary, schedule)
             if mode == MODE_ASYMPTOTIC:
-                gms = gms_asymptotic(summary, sel, StatisticKind.MMM, 0.05, 300, seed=3)
+                gms = gms_asymptotic(summary, sel, StatisticKind.MMM, 0.05, 300, seed=3).value
             else:
-                gms = gms_bootstrap(sample, sel, StatisticKind.MMM, 0.05, 300, seed=3)
-            assert cms.value == gms.value
+                gms = run_gms_boot(sample, sel, StatisticKind.MMM, seed=3)
+            assert cms.value == gms
 
     def test_tilting_can_only_omit_more_under_positive_correlation(self):
         # strongly correlated pair, one violated moment, the other hovering at

@@ -106,6 +106,16 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match="beta"):
             small_config(alpha=0.05, beta=0.06)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_threads_below_one(self, threads):
+        with pytest.raises(DomainError, match="threads"):
+            small_config(threads=threads)
+
+    @pytest.mark.parametrize("surrogate", [-10.0, 0.0, INF, math.nan])
+    def test_rejects_infinity_surrogate_not_positive_finite(self, surrogate):
+        with pytest.raises(DomainError, match="infinity_surrogate"):
+            small_config(infinity_surrogate=surrogate)
+
 
 @pytest.fixture(scope="module")
 def result():

@@ -1,5 +1,5 @@
 """The benchmark's per-layer tracer still finds, and sees calls into, every
-layer a sweep runs through.
+layer a sweep and a confidence-set inversion run through.
 
 perfbench/tracing.py wraps each layer at the name its caller looks it up by.
 A refactor that changes how a caller reaches a layer (say, a module-level
@@ -11,6 +11,8 @@ not, since it reports such a layer as 0 rather than absent.
 import importlib
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from cmselect import CorrelationFamily, ExperimentConfig, StatisticKind
 from cmselect.harness import run_mnrp
@@ -56,3 +58,36 @@ def test_sweep_records_a_span_in_every_layer(monkeypatch):
     assert tracer.absent == []
     spans = Counter(span[0] for span in tracer.spans)
     assert [layer for layer in LAYERS if spans[layer] == 0] == []
+
+
+INVERT_LAYERS = (
+    "cli.main",
+    "moments.load_csv",
+    "critical.BootstrapDraws",
+    "critical.selection_quantile",
+    "tilt.tilt",
+    "statistics.evaluate",
+)
+
+
+def test_invert_records_a_span_in_every_layer(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    import cmselect.cli
+
+    rng = np.random.default_rng(8)
+    points = []
+    for k, shift in enumerate((0.5, -0.5)):
+        path = tmp_path / f"t{k}.csv"
+        np.savetxt(path, rng.standard_normal((40, 3)) + shift, delimiter=",")
+        points.append(str(path))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cmselect.cli.main(["invert", *points, "--draws", "200"])
+    finally:
+        tracer.remove()
+    assert code == 0
+    assert tracer.absent == []
+    spans = Counter(span[0] for span in tracer.spans)
+    assert [layer for layer in INVERT_LAYERS if spans[layer] == 0] == []
