@@ -14,6 +14,7 @@ from .critical import (
     CriticalValueReport,
     RmsTables,
     TestDecision,
+    bootstrap_counts,
     gms_asymptotic,
     run_test,
     upper_quantile,

@@ -1,7 +1,9 @@
 """Command-line interface: test one dataset, invert a grid, run experiments.
 
 Exit codes follow a scripting-friendly contract: 0 means the hypothesis was
-accepted (or the run finished), 1 means rejected, 2 means any error. All
+accepted (or the run finished), 1 means rejected, 2 means any error. `invert`
+tests every point even when some fail: a failed point is listed with its
+error and left out of the confidence set, and the run then exits 2. All
 randomness derives from --seed; the default seed is 0, so repeated runs are
 identical.
 """
@@ -135,13 +137,15 @@ def cmd_invert(args) -> int:
     for theta_id, path in points:
         try:
             sample = load_csv(path)
+            if width is None:
+                width = sample.n_moments
+            elif sample.n_moments != width:
+                raise CmselectError(f"expected {width} columns, got {sample.n_moments}")
+            decision = run_test(sample, seed=args.seed, **kwargs)
         except CmselectError as err:
-            raise CmselectError(f"point {theta_id}: {err}") from err
-        if width is None:
-            width = sample.n_moments
-        elif sample.n_moments != width:
-            raise CmselectError(f"point {theta_id}: expected {width} columns, got {sample.n_moments}")
-        decision = run_test(sample, seed=args.seed, **kwargs)
+            print(f"error: point {theta_id}: {err}", file=sys.stderr)
+            listing.append({"theta_id": theta_id, "error": str(err)})
+            continue
         listing.append(
             {
                 "theta_id": theta_id,
@@ -150,13 +154,13 @@ def cmd_invert(args) -> int:
                 "critical_value": decision.critical_value.value,
             }
         )
-    accepted = [entry["theta_id"] for entry in listing if not entry["reject"]]
+    accepted = [entry["theta_id"] for entry in listing if "error" not in entry and not entry["reject"]]
     payload = {"confidence_set": accepted, "points": listing}
     text = json.dumps(payload, indent=2)
     print(text)
     if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
-    return 0
+    return 2 if any("error" in entry for entry in listing) else 0
 
 
 def _parse_mu(entry, j: int):

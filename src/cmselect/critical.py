@@ -16,6 +16,13 @@ S(G* + shift, Omega*) from it through `statistic_draws`, differing only in
 the shift. `bootstrap_critical_values` reads every requested procedure's
 critical value off one such object; `run_test` and the Monte Carlo harness
 both go through it, so comparisons across procedures are paired.
+
+The resampling counts come from one kernel, `bootstrap_counts`, which
+`BootstrapDraws` only consumes. They depend on the sample through its row
+count alone, so `run_test` on its seeded stream reads them from
+`seeded_counts`, a one-entry cache keyed by (seed, n, draws): `cmselect
+invert` builds them once per grid instead of once per point. The cache
+holds one draws-by-n float64 array, 40 MB at n=500 and 10000 draws.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,6 +51,8 @@ from .tilt import TiltResult, tilt, tilted_selection
 _DEGENERATE_CEILING = 0.01
 _VARIANCE_FLOOR = 1e-14
 _ASYMPTOTIC_CHUNK = 200_000
+# Bootstrap replicates whose resampling counts are drawn at once.
+_COUNTS_CHUNK = 1000
 
 MODE_ASYMPTOTIC = "AsymptoticSim"
 MODE_BOOTSTRAP = "Bootstrap"
@@ -151,19 +160,20 @@ def rsw_beta(alpha: float, beta: float | None = None) -> float:
 class BootstrapDraws:
     """Per-replicate resampled summaries, shared across procedures.
 
-    Resampling is encoded as multinomial row counts, so means and second
-    moments reduce to two matrix products per batch. Replicates in which some
-    column degenerates (zero resampled variance) are flagged in ``valid`` and
-    dropped here, so every per-replicate array holds the valid replicates
-    only; their count is reported on the resulting critical values.
+    Resampling is encoded as multinomial row counts, one row per replicate
+    from `bootstrap_counts`, so means and second moments reduce to two matrix
+    products. The products stay unchunked: BLAS does not promise that a block
+    of rows comes out bitwise equal to the same rows of the whole product.
+    Replicates in which some column degenerates (zero resampled variance) are
+    flagged in ``valid`` and dropped here, so every per-replicate array holds
+    the valid replicates only; their count is reported on the resulting
+    critical values.
     """
 
-    def __init__(self, sample: MomentSample, summary: MomentSummary, n_draws: int, rng: np.random.Generator):
-        if n_draws < 100:
-            raise DomainError("bootstrap needs at least 100 draws")
+    def __init__(self, sample: MomentSample, summary: MomentSummary, counts: np.ndarray):
         x = sample.values
         n, j = x.shape
-        counts = _bootstrap_counts(rng, n, n_draws)
+        n_draws = counts.shape[0]
 
         g_star = counts @ x / n
         second = counts @ (x[:, :, None] * x[:, None, :]).reshape(n, j * j) / n
@@ -215,10 +225,37 @@ class BootstrapDraws:
         return upper_quantile(self.selection_draws(selection, kind), level)
 
 
-def _bootstrap_counts(rng: np.random.Generator, n: int, n_draws: int) -> np.ndarray:
-    indices = rng.integers(0, n, size=(n_draws, n))
-    flat = indices + (np.arange(n_draws)[:, None] * n)
-    return np.bincount(flat.ravel(), minlength=n_draws * n).reshape(n_draws, n).astype(float)
+def bootstrap_counts(rng: np.random.Generator, n: int, n_draws: int) -> np.ndarray:
+    """(n_draws, n) float64 multinomial counts: row b counts how often each of
+    the n observations is drawn into bootstrap replicate b.
+
+    Rows are filled _COUNTS_CHUNK at a time. Drawing the indices chunk by
+    chunk reads the generator's stream exactly as one (n_draws, n) draw
+    would, so the counts and the generator's end state do not depend on the
+    chunk size, while the int64 temporaries stay bounded by one chunk.
+    """
+    if n_draws < 100:
+        raise DomainError("bootstrap needs at least 100 draws")
+    counts = np.empty((n_draws, n))
+    for start in range(0, n_draws, _COUNTS_CHUNK):
+        rows = min(_COUNTS_CHUNK, n_draws - start)
+        indices = rng.integers(0, n, size=(rows, n))
+        indices += np.arange(0, rows * n, n)[:, None]
+        counts[start : start + rows] = np.bincount(indices.ravel(), minlength=rows * n).reshape(rows, n)
+    return counts
+
+
+@lru_cache(maxsize=1)
+def seeded_counts(seed: int, n: int, n_draws: int) -> np.ndarray:
+    """`bootstrap_counts` on the (seed, BOOTSTRAP) substream, read-only.
+
+    Every sample of n rows tested with one seed and draw count resamples
+    with these same counts, so a grid of such samples (`cmselect invert`)
+    builds them once. The cache holds the last array only.
+    """
+    counts = bootstrap_counts(substream(seed, BOOTSTRAP), n, n_draws)
+    counts.setflags(write=False)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +576,11 @@ def run_test(
         schedule = KappaSchedule.parse("sqrt-log-n")
     summary = summarize(sample)
     if mode == MODE_BOOTSTRAP:
-        draws = BootstrapDraws(sample, summary, n_draws, substream(seed, BOOTSTRAP) if rng is None else rng)
+        if rng is None:
+            counts = seeded_counts(seed, sample.n, n_draws)
+        else:
+            counts = bootstrap_counts(rng, sample.n, n_draws)
+        draws = BootstrapDraws(sample, summary, counts)
     statistic = evaluate(kind, summary)
 
     extras: dict = {}

@@ -34,6 +34,7 @@ from .critical import (
     BootstrapDraws,
     RmsTables,
     _check_alpha,
+    bootstrap_counts,
     bootstrap_critical_values,
     rsw_beta,
     upper_quantile,
@@ -116,6 +117,10 @@ class ExperimentConfig:
             raise DomainError("infinity_surrogate must be positive and finite")
         _check_alpha(self.alpha)
         rsw_beta(self.alpha, self.beta)
+        if not self.procedures:
+            raise DomainError("procedures must name at least one procedure")
+        if not self.statistics:
+            raise DomainError("statistics must name at least one statistic")
         for proc in self.procedures:
             if proc not in PROCEDURES:
                 raise DomainError(f"unknown procedure {proc!r}")
@@ -214,7 +219,7 @@ def _replicate(config: ExperimentConfig, chol, mu, phase: int, pattern_idx: int,
         )
         summary = summarize(sample)
         rng_boot = substream(config.seed, phase, pattern_idx, rep_idx, BOOTSTRAP)
-        draws = BootstrapDraws(sample, summary, config.b, rng_boot)
+        draws = BootstrapDraws(sample, summary, bootstrap_counts(rng_boot, sample.n, config.b))
 
         row = {kind: evaluate(kind, summary) for kind in config.statistics}
         tilt_result = None

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from cmselect import StatisticKind, load_csv, run_test
 from cmselect.cli import main
+from cmselect.critical import seeded_counts
 
 
 def write_sample(path, values):
@@ -168,6 +170,36 @@ class TestCmdInvert:
         write_sample(path_b, np.ones((5, 3)))
         assert main(["invert", str(path_a), str(path_b), "--draws", "200"]) == 2
 
+    def test_failed_point_is_listed_and_exits_two(self, tmp_path, capsys):
+        paths = self.make_grid(tmp_path, [1.0, 2.0, 3.0])
+        constant = np.random.default_rng(6).standard_normal((40, 2))
+        constant[:, 1] = 0.5
+        write_sample(tmp_path / "theta_1.csv", constant)
+        code = main(["invert", *paths, "--draws", "200", "--statistic", "mmm"])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert code == 2
+        assert payload["confidence_set"] == ["theta_0", "theta_2"]
+        failed = payload["points"][1]
+        assert failed["theta_id"] == "theta_1" and set(failed) == {"theta_id", "error"}
+        assert "zero sample variance" in failed["error"]
+        assert captured.err.startswith("error: point theta_1: ")
+
+    def test_cached_counts_match_a_fresh_build_at_every_point(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        paths = []
+        for i, n in enumerate((120, 150, 120, 150)):
+            path = tmp_path / f"p{i}.csv"
+            write_sample(path, rng.standard_normal((n, 2)) * 0.5 + 0.1 * i)
+            paths.append(path)
+        for draws in (200, 300, 200):
+            assert main(["invert", *map(str, paths), "--draws", str(draws), "--seed", "5"]) == 0
+            listing = json.loads(capsys.readouterr().out)["points"]
+            for path, entry in zip(paths, listing):
+                seeded_counts.cache_clear()
+                fresh = run_test(load_csv(path), StatisticKind.AQLR, "cms", n_draws=draws, seed=5)
+                assert entry["critical_value"] == fresh.critical_value.value
+
     def test_duplicate_ids_rejected(self, tmp_path):
         [path] = self.make_grid(tmp_path, [1.0])
         assert main(["invert", path, path]) == 2
@@ -260,6 +292,8 @@ class TestCmdSimulate:
             pytest.param({"infinity_surrogate": -10}, "positive and finite", id="surrogate-negative"),
             pytest.param({"infinity_surrogate": 0}, "positive and finite", id="surrogate-zero"),
             pytest.param({"run": ["power"]}, "at least one alternative", id="power-without-alternatives"),
+            pytest.param({"statistics": []}, "at least one statistic", id="statistics-empty"),
+            pytest.param({"procedures": []}, "at least one procedure", id="procedures-empty"),
             pytest.param(
                 {"procedures": ["GMS", "CMS"], "alternatives": [[-1, 1]], "run": ["mnrp", "power"]},
                 "add RSW to procedures",

@@ -21,9 +21,11 @@ from cmselect.critical import (
     MODE_BOOTSTRAP,
     PROCEDURE_ALIASES,
     asymptotic_draws,
+    bootstrap_counts,
     bootstrap_critical_values,
     min_off_diagonal,
     rsw_critical_value,
+    seeded_counts,
 )
 from cmselect.selection import KappaSchedule
 from cmselect.streams import BOOTSTRAP, substream
@@ -134,7 +136,7 @@ class TestNestingWithCommonDraws:
 
 
 def run_gms_boot(sample, selection, kind, seed=0, n_draws=300, alpha=0.05):
-    draws = BootstrapDraws(sample, summarize(sample), n_draws, substream(seed, BOOTSTRAP))
+    draws = BootstrapDraws(sample, summarize(sample), bootstrap_counts(substream(seed, BOOTSTRAP), sample.n, n_draws))
     return draws.selection_quantile(selection, kind, 1.0 - alpha)
 
 
@@ -146,7 +148,7 @@ class TestBootstrap:
 
     def test_quantile_is_an_order_statistic_of_the_draws(self):
         sample = normal_sample(30, 2, 21)
-        draws = BootstrapDraws(sample, summarize(sample), 100, substream(5, 1))
+        draws = BootstrapDraws(sample, summarize(sample), bootstrap_counts(substream(5, 1), sample.n, 100))
         selection = zeros_selection(2)
         values = draws.selection_draws(selection, StatisticKind.MMM)
         expected = np.sort(values)[int(np.ceil(0.95 * values.size)) - 1]
@@ -158,11 +160,32 @@ class TestBootstrap:
         b = run_gms_boot(sample, zeros_selection(3), StatisticKind.AQLR, seed=7)
         assert a == b
 
+    @pytest.mark.parametrize("n", [1, 7, 250, 251])
+    @pytest.mark.parametrize("n_draws", [100, 999, 1000, 1001, 2500])
+    def test_counts_match_the_one_shot_draw(self, n, n_draws):
+        rng, reference_rng = substream(9, BOOTSTRAP), substream(9, BOOTSTRAP)
+        counts = bootstrap_counts(rng, n, n_draws)
+        indices = reference_rng.integers(0, n, size=(n_draws, n))
+        flat = indices + (np.arange(n_draws)[:, None] * n)
+        reference = np.bincount(flat.ravel(), minlength=n_draws * n).reshape(n_draws, n).astype(float)
+        assert counts.dtype == reference.dtype
+        assert np.array_equal(counts, reference)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_counts_need_a_hundred_draws(self):
+        with pytest.raises(DomainError):
+            bootstrap_counts(substream(1, BOOTSTRAP), 10, 99)
+
+    def test_seeded_counts_are_read_only(self):
+        counts = seeded_counts(3, 20, 100)
+        assert not counts.flags.writeable
+        assert np.array_equal(counts, bootstrap_counts(substream(3, BOOTSTRAP), 20, 100))
+
     def test_too_many_degenerate(self):
         # two observations: half of all resamples duplicate a single row
         sample = MomentSample(np.array([[0.0], [1.0]]))
         with pytest.raises(TooManyDegenerate):
-            BootstrapDraws(sample, summarize(sample), 200, substream(1, 1))
+            BootstrapDraws(sample, summarize(sample), bootstrap_counts(substream(1, 1), sample.n, 200))
 
 
 class TestBootstrapCriticalValues:
@@ -171,7 +194,7 @@ class TestBootstrapCriticalValues:
         # selects exactly what GMS selects and reads the same quantile.
         sample = normal_sample(60, 3, 45, shift=4.0)
         summary = summarize(sample)
-        draws = BootstrapDraws(sample, summary, 200, substream(6, BOOTSTRAP))
+        draws = BootstrapDraws(sample, summary, bootstrap_counts(substream(6, BOOTSTRAP), sample.n, 200))
         calls = []
         original = BootstrapDraws.selection_quantile
 
@@ -259,7 +282,7 @@ class TestRsw:
     def test_rectangle_arithmetic(self):
         sample = normal_sample(60, 2, 42, shift=-0.5)
         summary = summarize(sample)
-        draws = BootstrapDraws(sample, summary, 300, substream(3, 1))
+        draws = BootstrapDraws(sample, summary, bootstrap_counts(substream(3, 1), sample.n, 300))
         report = rsw_critical_value(draws, summary, StatisticKind.MMM, 0.05, 0.005)
         first_stage = report.supplementary["first_stage"]
         k_inv = report.supplementary["k_inv_beta"]
@@ -275,7 +298,7 @@ class TestRsw:
         # critical value is the zero-selection quantile of the same draws.
         sample = normal_sample(60, 3, 44, shift=-3.0)
         summary = summarize(sample)
-        draws = BootstrapDraws(sample, summary, 300, substream(4, 1))
+        draws = BootstrapDraws(sample, summary, bootstrap_counts(substream(4, 1), sample.n, 300))
         alpha, beta = 0.05, 0.005
         for kind in StatisticKind:
             report = rsw_critical_value(draws, summary, kind, alpha, beta)

@@ -8,6 +8,7 @@ from cmselect import (
     CorrelationFamily,
     DomainError,
     ExperimentConfig,
+    ExperimentResult,
     MissingBaseline,
     StatisticKind,
     corrections_from,
@@ -110,6 +111,11 @@ class TestConfigValidation:
     def test_rejects_threads_below_one(self, threads):
         with pytest.raises(DomainError, match="threads"):
             small_config(threads=threads)
+
+    @pytest.mark.parametrize("field", ["procedures", "statistics"])
+    def test_rejects_empty_procedures_or_statistics(self, field):
+        with pytest.raises(DomainError, match=field):
+            small_config(**{field: ()})
 
     @pytest.mark.parametrize("surrogate", [-10.0, 0.0, INF, math.nan])
     def test_rejects_infinity_surrogate_not_positive_finite(self, surrogate):
@@ -342,9 +348,8 @@ class TestReplay:
 
 
 class TestEmit:
-    def test_empty_procedures_gives_header_only_csv(self, tmp_path):
-        config = small_config(procedures=())
-        result = run_mnrp(small_config(procedures=(), r_mc=5, b=100))
+    def test_no_cells_gives_header_only_csv(self, tmp_path):
+        result = ExperimentResult(config=small_config(), phase="mnrp", patterns=(), cells={})
         path = tmp_path / "out.csv"
         emit(result, "csv", path)
         lines = path.read_text().strip().splitlines()
@@ -378,6 +383,6 @@ class TestEmit:
         )
 
     def test_unknown_format(self, tmp_path):
-        result = run_mnrp(small_config(r_mc=5, b=100, procedures=()))
+        result = ExperimentResult(config=small_config(), phase="mnrp", patterns=(), cells={})
         with pytest.raises(DomainError):
             emit(result, "parquet", tmp_path / "x")
