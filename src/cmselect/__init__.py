@@ -10,12 +10,12 @@ reproduces size and local-power experiments.
 """
 
 from .critical import (
+    AsymptoticDraws,
     BootstrapDraws,
     CriticalValueReport,
     RmsTables,
     TestDecision,
     bootstrap_counts,
-    gms_asymptotic,
     run_test,
     upper_quantile,
 )

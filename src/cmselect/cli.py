@@ -142,7 +142,7 @@ def cmd_invert(args) -> int:
             elif sample.n_moments != width:
                 raise CmselectError(f"expected {width} columns, got {sample.n_moments}")
             decision = run_test(sample, seed=args.seed, **kwargs)
-        except CmselectError as err:
+        except (CmselectError, OSError) as err:
             print(f"error: point {theta_id}: {err}", file=sys.stderr)
             listing.append({"theta_id": theta_id, "error": str(err)})
             continue
@@ -180,7 +180,7 @@ def _parse_mu(entry, j: int):
 
 
 def load_config(path, desk_scale=False, overrides=None) -> tuple:
-    """Parse an experiment config JSON into (ExperimentConfig, phases, options)."""
+    """Parse an experiment config JSON into (ExperimentConfig, phases)."""
     with open(path, encoding="utf-8") as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):
@@ -209,6 +209,8 @@ def load_config(path, desk_scale=False, overrides=None) -> tuple:
     patterns_spec = raw.get("null_patterns", "auto")
     if isinstance(patterns_spec, str):
         nulls = null_patterns(j, patterns_spec)
+    elif not isinstance(patterns_spec, list) or not patterns_spec:
+        raise CmselectError('null_patterns must list at least one pattern or name a scheme ("auto", "full")')
     else:
         nulls = tuple(_parse_mu(entry, j) for entry in patterns_spec)
     alternatives = tuple(_parse_mu(entry, j) for entry in raw.get("alternatives", ()))
@@ -290,7 +292,7 @@ def cmd_simulate(args) -> int:
             "kappa": config.kappa.spell(),
             "procedures": list(config.procedures),
             "statistics": [k.value for k in config.statistics],
-            "null_patterns": len(config.null_mu) or len(null_patterns(config.J)),
+            "null_patterns": len(config.null_mu),
             "alternatives": len(config.alternative_mu),
             "seed": config.seed,
             "phases": list(phases),

@@ -10,12 +10,14 @@ shift vector and read off an upper quantile. Two simulation modes exist:
 The empirical quantile at level q is the order statistic at index ceil(q * R)
 of the sorted draws, the right-continuous inverse of the empirical CDF.
 
-The bootstrap machinery is shared: one `BootstrapDraws` object per sample
-keeps its valid replicates, and every procedure and both statistics draw
-S(G* + shift, Omega*) from it through `statistic_draws`, differing only in
-the shift. `bootstrap_critical_values` reads every requested procedure's
-critical value off one such object; `run_test` and the Monte Carlo harness
-both go through it, so comparisons across procedures are paired.
+The two modes differ only in where the draws of (G, Omega) come from. One
+draws object per sample, `AsymptoticDraws` or `BootstrapDraws` (which keeps
+its valid replicates only), serves every procedure and both statistics: each
+draws S(G + shift, Omega) through `statistic_draws`, differing only in the
+shift. `critical_values` reads every requested procedure's critical value
+off one such object, tilting the sample once for CMS and CMS_FC; `run_test`
+in both modes and the Monte Carlo harness all go through it, so comparisons
+across procedures are paired. `rejects` is the one rejection rule.
 
 The resampling counts come from one kernel, `bootstrap_counts`, which
 `BootstrapDraws` only consumes. They depend on the sample through its row
@@ -29,13 +31,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DomainError, MissingTable, TooManyDegenerate
 from .moments import (
+    _VARIANCE_FLOOR,
     MomentSample,
     MomentSummary,
     cholesky_factor,
@@ -49,7 +52,7 @@ from .tilt import TiltResult, tilt, tilted_selection
 
 # Share of degenerate bootstrap replicates tolerated before aborting.
 _DEGENERATE_CEILING = 0.01
-_VARIANCE_FLOOR = 1e-14
+# Asymptotic draws generated, and statistics evaluated, at once.
 _ASYMPTOTIC_CHUNK = 200_000
 # Bootstrap replicates whose resampling counts are drawn at once.
 _COUNTS_CHUNK = 1000
@@ -153,11 +156,58 @@ def rsw_beta(alpha: float, beta: float | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bootstrap draw bundle
+# Draw bundles
 # ---------------------------------------------------------------------------
 
 
-class BootstrapDraws:
+class _Draws:
+    """Draws of (G, Omega) on one sample, shared across procedures. Subclasses
+    supply ``statistic_draws``, ``mode``, ``n_draws`` and ``skipped``."""
+
+    def selection_draws(self, selection: SelectionVector, kind: StatisticKind) -> np.ndarray:
+        omit = selection.omitted
+        return self.statistic_draws(np.where(omit, 0.0, selection.shifts), kind, omit)
+
+    def selection_quantile(self, selection: SelectionVector, kind: StatisticKind, level: float) -> float:
+        return upper_quantile(self.selection_draws(selection, kind), level)
+
+
+class AsymptoticDraws(_Draws):
+    """Draws of (Omega^(1/2) Z, Omega) for iid standard normal Z and the
+    sample correlation Omega, kept so that every procedure reads the same
+    draws. Omega is fixed, so its AQLR adjustment happens once; normals are
+    drawn and statistics evaluated in blocks of _ASYMPTOTIC_CHUNK rows.
+    """
+
+    mode = MODE_ASYMPTOTIC
+    skipped = 0
+
+    def __init__(self, correlation: np.ndarray, n_draws: int, rng: np.random.Generator):
+        if n_draws < 100:
+            raise DomainError("asymptotic simulation needs at least 100 draws")
+        factor = cholesky_factor(correlation)
+        self.correlation = correlation
+        self.n_draws = n_draws
+        self.base = np.empty((n_draws, len(correlation)))
+        for start in range(0, n_draws, _ASYMPTOTIC_CHUNK):
+            take = min(_ASYMPTOTIC_CHUNK, n_draws - start)
+            self.base[start : start + take] = rng.standard_normal((take, len(correlation))) @ factor.T
+
+    @cached_property
+    def _adjusted(self) -> np.ndarray:
+        return adjusted_sigma(self.correlation)
+
+    def statistic_draws(self, shift: np.ndarray, kind: StatisticKind, omit: np.ndarray | None = None) -> np.ndarray:
+        """Draws of S(Omega^(1/2) Z + shift, Omega); see `BootstrapDraws.statistic_draws`."""
+        sigma = self._adjusted if kind is StatisticKind.AQLR else self.correlation
+        out = np.empty(self.n_draws)
+        for start in range(0, self.n_draws, _ASYMPTOTIC_CHUNK):
+            block = slice(start, start + _ASYMPTOTIC_CHUNK)
+            out[block] = shifted_statistic_batch(kind, self.base[block] + shift, sigma, omit)
+        return out
+
+
+class BootstrapDraws(_Draws):
     """Per-replicate resampled summaries, shared across procedures.
 
     Resampling is encoded as multinomial row counts, one row per replicate
@@ -169,6 +219,8 @@ class BootstrapDraws:
     the valid replicates only; their count is reported on the resulting
     critical values.
     """
+
+    mode = MODE_BOOTSTRAP
 
     def __init__(self, sample: MomentSample, summary: MomentSummary, counts: np.ndarray):
         x = sample.values
@@ -217,13 +269,6 @@ class BootstrapDraws:
         sigma = self._omega_adjusted if kind is StatisticKind.AQLR else self.omega_star
         return shifted_statistic_batch(kind, self.g_recentered_stud + shift, sigma, omit)
 
-    def selection_draws(self, selection: SelectionVector, kind: StatisticKind) -> np.ndarray:
-        omit = selection.omitted
-        return self.statistic_draws(np.where(omit, 0.0, selection.shifts), kind, omit)
-
-    def selection_quantile(self, selection: SelectionVector, kind: StatisticKind, level: float) -> float:
-        return upper_quantile(self.selection_draws(selection, kind), level)
-
 
 def bootstrap_counts(rng: np.random.Generator, n: int, n_draws: int) -> np.ndarray:
     """(n_draws, n) float64 multinomial counts: row b counts how often each of
@@ -259,66 +304,8 @@ def seeded_counts(seed: int, n: int, n_draws: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Asymptotic-simulation draws
-# ---------------------------------------------------------------------------
-
-
-def asymptotic_draws(
-    correlation: np.ndarray,
-    selection: SelectionVector,
-    kind: StatisticKind,
-    n_draws: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draws of S(Omega^(1/2) Z + shift, Omega) for iid standard normal Z.
-
-    The scale matrix is fixed across draws, so its adjustment happens once;
-    evaluation proceeds in chunks to bound memory at large draw counts.
-    """
-    if n_draws < 100:
-        raise DomainError("asymptotic simulation needs at least 100 draws")
-    factor = cholesky_factor(correlation)
-    omit = selection.omitted
-    finite = np.where(omit, 0.0, selection.shifts)
-    sigma = adjusted_sigma(correlation) if kind is StatisticKind.AQLR else correlation
-
-    out = np.empty(n_draws)
-    for done in range(0, n_draws, _ASYMPTOTIC_CHUNK):
-        take = min(_ASYMPTOTIC_CHUNK, n_draws - done)
-        z = rng.standard_normal((take, correlation.shape[0]))
-        vec = z @ factor.T + finite
-        out[done : done + take] = shifted_statistic_batch(kind, vec, sigma, omit)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Procedures
 # ---------------------------------------------------------------------------
-
-
-def gms_asymptotic(
-    summary: MomentSummary,
-    selection: SelectionVector,
-    kind: StatisticKind,
-    alpha: float,
-    n_draws: int,
-    seed: int,
-    rng: np.random.Generator | None = None,
-    method: str = "GMS",
-) -> CriticalValueReport:
-    """Asymptotic-simulation critical value at a given selection vector."""
-    _check_alpha(alpha)
-    if rng is None:
-        rng = substream(seed, ASYMPTOTIC)
-    draws = asymptotic_draws(summary.correlation, selection, kind, n_draws, rng)
-    return CriticalValueReport(
-        value=upper_quantile(draws, 1.0 - alpha),
-        method=method,
-        mode=MODE_ASYMPTOTIC,
-        draws=n_draws,
-        selection=selection,
-        alpha=alpha,
-    )
 
 
 def gms_selection(summary: MomentSummary, schedule: KappaSchedule, phi: int = 1, **phi_params) -> SelectionVector:
@@ -497,10 +484,10 @@ def selection_step(
     )
 
 
-def bootstrap_critical_values(
+def critical_values(
     sample: MomentSample,
     summary: MomentSummary,
-    draws: BootstrapDraws,
+    draws: _Draws,
     procedures,
     kinds,
     alpha: float,
@@ -508,16 +495,17 @@ def bootstrap_critical_values(
     schedule: KappaSchedule,
     phi: int = 1,
     rms_tables: RmsTables | None = None,
-    tilt_result: TiltResult | None = None,
     **phi_params,
-) -> dict:
-    """{(procedure, kind): CriticalValueReport} for every requested pair on
-    one sample, all read off the same ``draws`` and therefore paired.
+) -> tuple:
+    """({(procedure, kind): CriticalValueReport}, tilt) for every requested
+    pair on one sample, all read off the same ``draws`` and therefore paired.
 
-    RSW goes through `rsw_critical_value` at first-stage level ``beta``; every
-    other procedure adds its selection step's constant to the selection
-    quantile, and procedures with equal selections share that quantile.
+    The one tilt, shared by CMS and CMS_FC, is None when neither is asked
+    for. RSW (bootstrap draws only) goes through `rsw_critical_value`; every
+    other procedure adds its step's constant to the selection quantile, which
+    procedures with equal selections share.
     """
+    tilt_result = tilt(sample) if "CMS" in procedures or "CMS_FC" in procedures else None
     reports = {}
     quantiles: dict = {}
     for proc in procedures:
@@ -531,11 +519,18 @@ def bootstrap_critical_values(
             if key not in quantiles:
                 quantiles[key] = draws.selection_quantile(step.selection, kind, 1.0 - alpha)
             reports[(proc, kind)] = CriticalValueReport(
-                value=quantiles[key] + step.additive, method=proc, mode=MODE_BOOTSTRAP, draws=draws.n_draws,
+                value=quantiles[key] + step.additive, method=proc, mode=draws.mode, draws=draws.n_draws,
                 selection=step.selection, alpha=alpha, supplementary=step.supplementary,
                 tilt_fallback=step.tilt_fallback, skipped_draws=draws.skipped,
             )
-    return reports
+    return reports, tilt_result
+
+
+def rejects(procedure: str, statistic, critical_value, first_stage):
+    """The decision rule, elementwise on arrays: T > c, and for the two-step
+    test also its first-stage event (the rectangle leaves the orthant)."""
+    reject = statistic > critical_value
+    return reject & first_stage if procedure == "RSW" else reject
 
 
 def run_test(
@@ -557,10 +552,11 @@ def run_test(
 
     The entry point for every procedure, and the decision logic behind both
     the command line and the Monte Carlo harness; those callers only differ
-    in how they construct the sample and the random streams. The two-step
-    test (rsw) rejects only when the statistic exceeds its critical value and
-    its first-stage rectangle sticks out of the nonnegative orthant; ``beta``
-    is its first-stage level, alpha / 10 by default.
+    in how they construct the sample and the random streams. The mode only
+    picks the draws object. The two-step test (rsw) is bootstrap-only and
+    rejects only when the statistic exceeds its critical value and its
+    first-stage rectangle sticks out of the nonnegative orthant; ``beta`` is
+    its first-stage level, alpha / 10 by default.
     """
     name = PROCEDURE_ALIASES.get(procedure)
     if name is None:
@@ -575,35 +571,22 @@ def run_test(
     if schedule is None:
         schedule = KappaSchedule.parse("sqrt-log-n")
     summary = summarize(sample)
-    if mode == MODE_BOOTSTRAP:
-        if rng is None:
-            counts = seeded_counts(seed, sample.n, n_draws)
-        else:
-            counts = bootstrap_counts(rng, sample.n, n_draws)
-        draws = BootstrapDraws(sample, summary, counts)
+    if mode == MODE_ASYMPTOTIC:
+        draws = AsymptoticDraws(summary.correlation, n_draws, substream(seed, ASYMPTOTIC) if rng is None else rng)
+    elif rng is None:
+        draws = BootstrapDraws(sample, summary, seeded_counts(seed, sample.n, n_draws))
+    else:
+        draws = BootstrapDraws(sample, summary, bootstrap_counts(rng, sample.n, n_draws))
     statistic = evaluate(kind, summary)
 
+    reports, tilt_result = critical_values(
+        sample, summary, draws, (name,), (kind,), alpha, beta, schedule, phi, rms_tables, **phi_params
+    )
+    report = reports[(name, kind)]
     extras: dict = {}
-    tilt_result = None
-    if name in ("CMS", "CMS_FC"):
-        tilt_result = tilt(sample)
+    if tilt_result is not None:
         extras["tilt"] = tilt_result.diagnostics()
-    if mode == MODE_BOOTSTRAP:
-        report = bootstrap_critical_values(
-            sample, summary, draws, (name,), (kind,), alpha, beta, schedule, phi, rms_tables, tilt_result,
-            **phi_params,
-        )[(name, kind)]
-    else:
-        step = selection_step(name, sample, summary, schedule, phi, rms_tables, tilt_result, **phi_params)
-        report = gms_asymptotic(summary, step.selection, kind, alpha, n_draws, seed, rng=rng, method=name)
-        report = replace(
-            report,
-            value=report.value + step.additive,
-            supplementary=step.supplementary,
-            tilt_fallback=step.tilt_fallback,
-        )
-    reject = bool(statistic > report.value)
     if name == "RSW":
         extras["first_stage"] = report.supplementary["first_stage"]
-        reject = reject and extras["first_stage"]
+    reject = bool(rejects(name, statistic, report.value, extras.get("first_stage")))
     return TestDecision(statistic, report, reject, extras)

@@ -35,7 +35,8 @@ from .critical import (
     RmsTables,
     _check_alpha,
     bootstrap_counts,
-    bootstrap_critical_values,
+    critical_values,
+    rejects,
     rsw_beta,
     upper_quantile,
 )
@@ -44,7 +45,6 @@ from .moments import CorrelationFamily, MomentSample, cholesky_factor, make_toep
 from .selection import KappaSchedule
 from .statistics import StatisticKind, evaluate
 from .streams import BOOTSTRAP, SAMPLE_DRAW, substream
-from .tilt import tilt
 
 PHASE_NULL = 0
 PHASE_POWER = 1
@@ -209,7 +209,7 @@ def _replicate(config: ExperimentConfig, chol, mu, phase: int, pattern_idx: int,
 
     Returns one row of the phase table: {kind: T, (procedure, kind): c,
     "tilt_infeasible", "rsw_first", "rsw_keep_all"}, with every c read by
-    `bootstrap_critical_values` off the replication's one set of draws. A
+    `critical_values` off the replication's one set of draws. A
     failure is re-raised with the replication coordinates attached.
     """
     try:
@@ -222,12 +222,9 @@ def _replicate(config: ExperimentConfig, chol, mu, phase: int, pattern_idx: int,
         draws = BootstrapDraws(sample, summary, bootstrap_counts(rng_boot, sample.n, config.b))
 
         row = {kind: evaluate(kind, summary) for kind in config.statistics}
-        tilt_result = None
-        if "CMS" in config.procedures or "CMS_FC" in config.procedures:
-            tilt_result = tilt(sample)
-        reports = bootstrap_critical_values(
+        reports, tilt_result = critical_values(
             sample, summary, draws, config.procedures, config.statistics, config.alpha,
-            config.beta_value, config.kappa, config.phi, config.rms_tables, tilt_result,
+            config.beta_value, config.kappa, config.phi, config.rms_tables,
         )
         row.update((key, report.value) for key, report in reports.items())
         rsw = next((r.supplementary for (proc, _), r in reports.items() if proc == "RSW"), {})
@@ -294,8 +291,7 @@ def _tabulate(config: ExperimentConfig, raw: dict, corrections: dict | None = No
 
     ``corrections`` (power runs) maps (procedure, statistic-name) to the
     constant added to that cell's critical values; cells without an entry
-    get 0. Rejection is T > c, and for the two-step test also the
-    first-stage event.
+    get 0. Rejection follows `critical.rejects`.
     """
     cells = {}
     for proc in config.procedures:
@@ -306,9 +302,7 @@ def _tabulate(config: ExperimentConfig, raw: dict, corrections: dict | None = No
             if corrections is not None:
                 delta = corrections.get((proc, kind.value), 0.0)
                 cvs = cvs + delta
-            rejections = stats > cvs
-            if proc == "RSW":
-                rejections = rejections & raw["rsw_first"]
+            rejections = rejects(proc, stats, cvs, raw["rsw_first"])
             rates = rejections.mean(axis=1)
             ses = np.sqrt(rates * (1.0 - rates) / config.r_mc)
             cells[(proc, kind.value)] = CellResult(

@@ -11,6 +11,7 @@ import pytest
 from scipy.stats import norm
 
 from cmselect import (
+    AsymptoticDraws,
     CorrelationFamily,
     ExperimentConfig,
     MomentSample,
@@ -19,7 +20,6 @@ from cmselect import (
     StatisticKind,
     aqlr,
     corrections_from,
-    gms_asymptotic,
     mmm,
     run_mnrp,
     run_power,
@@ -27,9 +27,8 @@ from cmselect import (
     tilt,
     upper_quantile,
 )
-from cmselect.critical import asymptotic_draws
 from cmselect.qp import inverse_spd
-from cmselect.streams import substream
+from cmselect.streams import ASYMPTOTIC, substream
 from oracles import pairwise_polish, simplex_grid_maximize, slsqp_candidate
 
 DESK_R_MC = 2000
@@ -317,7 +316,7 @@ def test_criterion_6c_tilt_oracle_equivalence():
 def test_criterion_6d_analytic_critical_value():
     rng = substream(SEED + 4, 2)
     selection = SelectionVector(np.zeros(1), source="phi1")
-    draws = asymptotic_draws(np.eye(1), selection, StatisticKind.MMM, 10**6, rng)
+    draws = AsymptoticDraws(np.eye(1), 10**6, rng).selection_draws(selection, StatisticKind.MMM)
     simulated = upper_quantile(draws, 0.95)
     analytic = float(norm.ppf(0.95) ** 2)
     ok = abs(simulated - analytic) <= 0.02
@@ -342,9 +341,8 @@ def test_criterion_7_nested_selection_ordering():
         high = SelectionVector(np.maximum(base + extra, base), source="phi2")
         for kind in StatisticKind:
             trials += 1
-            a = gms_asymptotic(summary, low, kind, 0.05, 400, seed=case)
-            b = gms_asymptotic(summary, high, kind, 0.05, 400, seed=case)
-            if b.value > a.value:
+            draws = AsymptoticDraws(summary.correlation, 400, substream(case, ASYMPTOTIC))
+            if draws.selection_quantile(high, kind, 1.0 - 0.05) > draws.selection_quantile(low, kind, 1.0 - 0.05):
                 violations += 1
     ok = violations == 0
     report(

@@ -185,6 +185,19 @@ class TestCmdInvert:
         assert "zero sample variance" in failed["error"]
         assert captured.err.startswith("error: point theta_1: ")
 
+    def test_missing_file_is_listed_and_exits_two(self, tmp_path, capsys):
+        [path] = self.make_grid(tmp_path, [1.0])
+        missing = str(tmp_path / "absent.csv")
+        code = main(["invert", path, missing, "--draws", "200", "--statistic", "mmm"])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert code == 2
+        assert [p["theta_id"] for p in payload["points"]] == ["theta_0", "absent"]
+        assert "error" not in payload["points"][0]
+        assert "error" in payload["points"][1]
+        assert payload["confidence_set"] == ["theta_0"]
+        assert captured.err.startswith("error: point absent: ")
+
     def test_cached_counts_match_a_fresh_build_at_every_point(self, tmp_path, capsys):
         rng = np.random.default_rng(11)
         paths = []
@@ -294,6 +307,8 @@ class TestCmdSimulate:
             pytest.param({"run": ["power"]}, "at least one alternative", id="power-without-alternatives"),
             pytest.param({"statistics": []}, "at least one statistic", id="statistics-empty"),
             pytest.param({"procedures": []}, "at least one procedure", id="procedures-empty"),
+            pytest.param({"null_patterns": []}, "null_patterns must list", id="null-patterns-empty"),
+            pytest.param({"null_patterns": 3}, "null_patterns must list", id="null-patterns-number"),
             pytest.param(
                 {"procedures": ["GMS", "CMS"], "alternatives": [[-1, 1]], "run": ["mnrp", "power"]},
                 "add RSW to procedures",

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import norm
 
 from cmselect import (
+    AsymptoticDraws,
     BootstrapDraws,
     DomainError,
     MissingTable,
@@ -11,7 +12,6 @@ from cmselect import (
     SelectionVector,
     StatisticKind,
     TooManyDegenerate,
-    gms_asymptotic,
     run_test,
     summarize,
     upper_quantile,
@@ -20,15 +20,14 @@ from cmselect.critical import (
     MODE_ASYMPTOTIC,
     MODE_BOOTSTRAP,
     PROCEDURE_ALIASES,
-    asymptotic_draws,
     bootstrap_counts,
-    bootstrap_critical_values,
+    critical_values,
     min_off_diagonal,
     rsw_critical_value,
     seeded_counts,
 )
 from cmselect.selection import KappaSchedule
-from cmselect.streams import BOOTSTRAP, substream
+from cmselect.streams import ASYMPTOTIC, BOOTSTRAP, substream
 
 
 def normal_sample(n, j, seed, shift=0.0):
@@ -65,32 +64,35 @@ class TestUpperQuantile:
             upper_quantile(np.array([1.0]), 0.0)
 
 
+def run_gms_asym(summary, selection, kind, alpha, n_draws, seed):
+    draws = AsymptoticDraws(summary.correlation, n_draws, substream(seed, ASYMPTOTIC))
+    return draws.selection_quantile(selection, kind, 1.0 - alpha)
+
+
 class TestAsymptotic:
     def test_all_omitted_gives_zero(self):
         sample = normal_sample(60, 3, 1)
-        report = gms_asymptotic(
-            summarize(sample), omit_all_selection(3), StatisticKind.MMM, 0.05, 500, seed=0
-        )
-        assert report.value == 0.0
+        value = run_gms_asym(summarize(sample), omit_all_selection(3), StatisticKind.MMM, 0.05, 500, seed=0)
+        assert value == 0.0
 
     def test_analytic_one_dimensional_quantile(self):
         # P(min(0, Z)^2 <= x) = Phi(sqrt(x)); 0.95 quantile is z_{0.95}^2
         rng = substream(0, 2)
-        draws = asymptotic_draws(np.eye(1), zeros_selection(1), StatisticKind.MMM, 10**6, rng)
+        draws = AsymptoticDraws(np.eye(1), 10**6, rng).selection_draws(zeros_selection(1), StatisticKind.MMM)
         simulated = upper_quantile(draws, 0.95)
         assert simulated == pytest.approx(norm.ppf(0.95) ** 2, abs=0.02)
 
     def test_seed_determinism(self):
         sample = normal_sample(80, 2, 3)
         summary = summarize(sample)
-        a = gms_asymptotic(summary, zeros_selection(2), StatisticKind.AQLR, 0.05, 2000, seed=9)
-        b = gms_asymptotic(summary, zeros_selection(2), StatisticKind.AQLR, 0.05, 2000, seed=9)
-        assert a.value == b.value
+        a = run_gms_asym(summary, zeros_selection(2), StatisticKind.AQLR, 0.05, 2000, seed=9)
+        b = run_gms_asym(summary, zeros_selection(2), StatisticKind.AQLR, 0.05, 2000, seed=9)
+        assert a == b
 
     def test_needs_enough_draws(self):
         sample = normal_sample(40, 2, 4)
         with pytest.raises(DomainError):
-            gms_asymptotic(summarize(sample), zeros_selection(2), StatisticKind.MMM, 0.05, 50, seed=0)
+            AsymptoticDraws(summarize(sample).correlation, 50, substream(0, ASYMPTOTIC))
 
 
 def nested_selection_pair(rng, j):
@@ -111,9 +113,9 @@ class TestNestingWithCommonDraws:
         for kind in StatisticKind:
             for trial in range(10):
                 low, high = nested_selection_pair(rng, 4)
-                a = gms_asymptotic(summary, low, kind, 0.05, 400, seed=trial)
-                b = gms_asymptotic(summary, high, kind, 0.05, 400, seed=trial)
-                assert b.value <= a.value
+                a = run_gms_asym(summary, low, kind, 0.05, 400, seed=trial)
+                b = run_gms_asym(summary, high, kind, 0.05, 400, seed=trial)
+                assert b <= a
 
     def test_bootstrap_mode(self):
         rng = np.random.default_rng(12)
@@ -129,7 +131,7 @@ class TestNestingWithCommonDraws:
         sample = normal_sample(60, 2, 14)
         summary = summarize(sample)
         values = [
-            gms_asymptotic(summary, zeros_selection(2), StatisticKind.MMM, alpha, 1000, seed=4).value
+            run_gms_asym(summary, zeros_selection(2), StatisticKind.MMM, alpha, 1000, seed=4)
             for alpha in (0.20, 0.10, 0.05, 0.01)
         ]
         assert np.all(np.diff(values) >= 0)
@@ -194,23 +196,50 @@ class TestBootstrapCriticalValues:
         # selects exactly what GMS selects and reads the same quantile.
         sample = normal_sample(60, 3, 45, shift=4.0)
         summary = summarize(sample)
-        draws = BootstrapDraws(sample, summary, bootstrap_counts(substream(6, BOOTSTRAP), sample.n, 200))
-        calls = []
-        original = BootstrapDraws.selection_quantile
-
-        def counted(self, *args):
-            calls.append(args)
-            return original(self, *args)
-
-        monkeypatch.setattr(BootstrapDraws, "selection_quantile", counted)
         kinds = (StatisticKind.MMM, StatisticKind.AQLR)
         schedule = KappaSchedule.parse("sqrt-log-n")
-        reports = bootstrap_critical_values(sample, summary, draws, ("GMS", "CMS"), kinds, 0.05, None, schedule)
-        assert len(calls) == 2
-        for kind in kinds:
-            gms, cms = reports[("GMS", kind)], reports[("CMS", kind)]
-            assert (gms.method, cms.method) == ("GMS", "CMS")
-            assert cms.value == gms.value
+        for draws in (
+            AsymptoticDraws(summary.correlation, 200, substream(6, ASYMPTOTIC)),
+            BootstrapDraws(sample, summary, bootstrap_counts(substream(6, BOOTSTRAP), sample.n, 200)),
+        ):
+            calls = []
+            original = type(draws).selection_quantile
+
+            def counted(self, *args):
+                calls.append(args)
+                return original(self, *args)
+
+            monkeypatch.setattr(type(draws), "selection_quantile", counted)
+            reports, _ = critical_values(sample, summary, draws, ("GMS", "CMS"), kinds, 0.05, None, schedule)
+            assert len(calls) == 2
+            for kind in kinds:
+                gms, cms = reports[("GMS", kind)], reports[("CMS", kind)]
+                assert (gms.method, cms.method) == ("GMS", "CMS")
+                assert gms.mode == cms.mode == draws.mode
+                assert cms.value == gms.value
+
+    def test_tilts_once_when_cms_is_requested(self, monkeypatch):
+        import cmselect.critical
+
+        sample = normal_sample(60, 3, 46, shift=0.2)
+        summary = summarize(sample)
+        draws = BootstrapDraws(sample, summary, bootstrap_counts(substream(7, BOOTSTRAP), sample.n, 200))
+        tilts = []
+        original = cmselect.critical.tilt
+
+        def counted(*args):
+            tilts.append(original(*args))
+            return tilts[-1]
+
+        monkeypatch.setattr(cmselect.critical, "tilt", counted)
+        schedule = KappaSchedule.parse("sqrt-log-n")
+        kinds = (StatisticKind.MMM,)
+        _, tilt_result = critical_values(
+            sample, summary, draws, ("GMS", "CMS", "CMS_FC", "RSW"), kinds, 0.05, 0.005, schedule
+        )
+        assert len(tilts) == 1 and tilt_result is tilts[0]
+        _, tilt_result = critical_values(sample, summary, draws, ("GMS", "RSW"), kinds, 0.05, 0.005, schedule)
+        assert len(tilts) == 1 and tilt_result is None
 
 
 class TestCms:
@@ -227,7 +256,7 @@ class TestCms:
 
             sel = gms_selection(summary, schedule)
             if mode == MODE_ASYMPTOTIC:
-                gms = gms_asymptotic(summary, sel, StatisticKind.MMM, 0.05, 300, seed=3).value
+                gms = run_gms_asym(summary, sel, StatisticKind.MMM, 0.05, 300, seed=3)
             else:
                 gms = run_gms_boot(sample, sel, StatisticKind.MMM, seed=3)
             assert cms.value == gms
@@ -312,9 +341,9 @@ class TestRsw:
             run_test(sample, StatisticKind.MMM, "rsw", alpha=0.05, beta=0.06, n_draws=200)
 
 
-def rms_test(sample, kind, tables, seed):
+def rms_test(sample, kind, tables, seed, mode=MODE_BOOTSTRAP):
     return run_test(
-        sample, kind, "rms", mode=MODE_BOOTSTRAP, alpha=0.05, n_draws=200, seed=seed,
+        sample, kind, "rms", mode=mode, alpha=0.05, n_draws=200, seed=seed,
         rms_tables=tables,
     ).critical_value
 
@@ -336,18 +365,20 @@ class TestRms:
     def test_degenerate_tables_reduce_to_gms(self):
         sample = normal_sample(50, 2, 51)
         kappa_const = float(np.sqrt(np.log(50)))
-        report = rms_test(sample, StatisticKind.MMM, self.tables(kappa_const), seed=6)
-        gms = run_test(
-            sample, StatisticKind.MMM, "gms", mode=MODE_BOOTSTRAP, alpha=0.05, n_draws=200, seed=6
-        )
-        assert report.value == gms.critical_value.value
+        for mode in (MODE_ASYMPTOTIC, MODE_BOOTSTRAP):
+            report = rms_test(sample, StatisticKind.MMM, self.tables(kappa_const), seed=6, mode=mode)
+            gms = run_test(
+                sample, StatisticKind.MMM, "gms", mode=mode, alpha=0.05, n_draws=200, seed=6
+            )
+            assert report.value == gms.critical_value.value
 
     def test_eta_shift_is_exactly_additive(self):
         sample = normal_sample(50, 2, 52)
         kappa_const = 2.0
-        base = rms_test(sample, StatisticKind.MMM, self.tables(kappa_const), seed=7)
-        shifted = rms_test(sample, StatisticKind.MMM, self.tables(kappa_const, eta2=0.1), seed=7)
-        assert shifted.value == pytest.approx(base.value + 0.1, abs=1e-12)
+        for mode in (MODE_ASYMPTOTIC, MODE_BOOTSTRAP):
+            base = rms_test(sample, StatisticKind.MMM, self.tables(kappa_const), seed=7, mode=mode)
+            shifted = rms_test(sample, StatisticKind.MMM, self.tables(kappa_const, eta2=0.1), seed=7, mode=mode)
+            assert shifted.value == pytest.approx(base.value + 0.1, abs=1e-12)
 
     def test_min_off_diagonal_of_negative_family(self):
         from cmselect import CorrelationFamily, make_toeplitz

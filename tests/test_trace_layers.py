@@ -58,6 +58,8 @@ def test_sweep_records_a_span_in_every_layer(monkeypatch):
     assert tracer.absent == []
     spans = Counter(span[0] for span in tracer.spans)
     assert [layer for layer in LAYERS if spans[layer] == 0] == []
+    # CMS and CMS_FC share one tilt per sample.
+    assert tracer.counts["tilt.tilt.calls"] == 4
 
 
 INVERT_LAYERS = (
