@@ -50,7 +50,6 @@ from .moments import (
     MomentSummary,
     load_csv,
     make_toeplitz,
-    studentized_scaled_mean,
     summarize,
 )
 from .selection import (
@@ -73,6 +72,6 @@ from .statistics import (
     evaluate,
     mmm,
 )
-from .tilt import TiltResult, feasible, tilt, tilted_selection
+from .tilt import TiltResult, feasible, tilt
 
 __version__ = "0.1.0"

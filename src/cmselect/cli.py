@@ -213,7 +213,10 @@ def load_config(path, desk_scale=False, overrides=None) -> tuple:
         raise CmselectError('null_patterns must list at least one pattern or name a scheme ("auto", "full")')
     else:
         nulls = tuple(_parse_mu(entry, j) for entry in patterns_spec)
-    alternatives = tuple(_parse_mu(entry, j) for entry in raw.get("alternatives", ()))
+    alternatives_spec = raw.get("alternatives", [])
+    if not isinstance(alternatives_spec, list):
+        raise CmselectError("alternatives must list mean vectors")
+    alternatives = tuple(_parse_mu(entry, j) for entry in alternatives_spec)
 
     tables = None
     if raw.get("rms_tables"):

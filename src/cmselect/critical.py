@@ -19,6 +19,10 @@ off one such object, tilting the sample once for CMS and CMS_FC; `run_test`
 in both modes and the Monte Carlo harness all go through it, so comparisons
 across procedures are paired. `rejects` is the one rejection rule.
 
+GMS, CMS, CMS_FC and RMS select through one formula, `selection_step`'s
+phi_k(phi, xi, Omega) at xi = sqrt(n) m / sqrt(v) / kappa; they differ only
+in the (m, v, Omega, kappa) they read.
+
 The resampling counts come from one kernel, `bootstrap_counts`, which
 `BootstrapDraws` only consumes. They depend on the sample through its row
 count alone, so `run_test` on its seeded stream reads them from
@@ -36,19 +40,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, MissingTable, TooManyDegenerate
-from .moments import (
-    _VARIANCE_FLOOR,
-    MomentSample,
-    MomentSummary,
-    cholesky_factor,
-    studentized_scaled_mean,
-    summarize,
-)
+from .errors import DegenerateColumn, DomainError, MissingTable, TooManyDegenerate
+from .moments import _VARIANCE_FLOOR, MomentSample, MomentSummary, cholesky_factor, summarize
 from .selection import KappaSchedule, SelectionVector, kappa as kappa_value, phi_k
 from .statistics import StatisticKind, adjusted_sigma, evaluate, shifted_statistic_batch
 from .streams import ASYMPTOTIC, BOOTSTRAP, substream
-from .tilt import TiltResult, tilt, tilted_selection
+from .tilt import TiltResult, tilt
 
 # Share of degenerate bootstrap replicates tolerated before aborting.
 _DEGENERATE_CEILING = 0.01
@@ -308,12 +305,6 @@ def seeded_counts(seed: int, n: int, n_draws: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gms_selection(summary: MomentSummary, schedule: KappaSchedule, phi: int = 1, **phi_params) -> SelectionVector:
-    """Selection vector from the raw studentized means."""
-    xi = studentized_scaled_mean(summary, kappa_value(schedule, summary.n))
-    return phi_k(phi, xi, summary.correlation, **phi_params)
-
-
 def rsw_critical_value(
     draws: BootstrapDraws,
     summary: MomentSummary,
@@ -435,53 +426,56 @@ class SelectionStep:
 
 def selection_step(
     procedure: str,
-    sample: MomentSample,
     summary: MomentSummary,
     schedule: KappaSchedule,
     phi: int = 1,
     rms_tables: RmsTables | None = None,
     tilt_result: TiltResult | None = None,
-    **phi_params,
 ) -> SelectionStep:
-    """Selection step of GMS, CMS, CMS_FC or RMS.
+    """Selection step of GMS, CMS, CMS_FC or RMS: phi_k(phi, xi, Omega) at
+    xi = sqrt(n) m / sqrt(v) / kappa, the one formula.
 
-    CMS and CMS_FC threshold the tilted means and fall back to the raw ones
-    when the tilt is infeasible; pass ``tilt_result`` to share one tilt
-    between them. RMS thresholds the raw means at a kappa looked up at the
-    minimum off-diagonal correlation and adds a size-correction constant to
-    the quantile. It is disabled (MissingTable) without ``rms_tables``, since
-    the numeric tables live outside this package.
+    GMS reads the summary's mean, variances and correlation, with kappa from
+    the schedule. CMS reads the mean of ``tilt_result``, the sample's tilt;
+    CMS_FC also its variances and correlation. Both keep GMS's inputs when
+    the tilt is infeasible, which they flag, or the identity, so that
+    nonnegative means select exactly as GMS does. RMS reads GMS's inputs at
+    a kappa looked up at the minimum off-diagonal correlation, adds a
+    size-correction constant to the quantile, and is disabled (MissingTable)
+    without ``rms_tables``, since the numeric tables live outside this
+    package.
     """
-    if procedure == "GMS":
-        return SelectionStep(gms_selection(summary, schedule, phi, **phi_params))
-    if procedure in ("CMS", "CMS_FC"):
-        if tilt_result is None:
-            tilt_result = tilt(sample)
-        if not tilt_result.solved:
-            return SelectionStep(gms_selection(summary, schedule, phi, **phi_params), tilt_fallback=True)
-        fully_constrained = procedure == "CMS_FC"
+    mean, var, omega = summary.mean, summary.var, summary.correlation
+    fields: dict = {}
+    if procedure == "RMS":
+        if rms_tables is None:
+            raise MissingTable("RMS needs kappa/eta lookup tables; none were supplied")
+        delta = min_off_diagonal(omega)
+        k = rms_tables.kappa_at(delta)
+        if k <= 0:
+            raise DomainError("RMS kappa table produced a nonpositive threshold")
+        eta = rms_tables.eta_at(delta, summary.n_moments)
+        fields = {"additive": eta, "supplementary": {"delta_hat": delta, "kappa_hat": k, "eta_hat": eta}}
+    elif procedure in ("GMS", "CMS", "CMS_FC"):
         k = kappa_value(schedule, summary.n)
-        xi = tilted_selection(sample, k, fully_constrained, result=tilt_result, summary=summary)
-        omega = summary.correlation
-        if fully_constrained:
-            inv_sd = 1.0 / np.sqrt(np.diag(tilt_result.tilted_cov))
-            omega = tilt_result.tilted_cov * np.outer(inv_sd, inv_sd)
-        return SelectionStep(phi_k(phi, xi, omega, **phi_params))
-    if procedure != "RMS":
+        if procedure != "GMS":
+            if tilt_result is None:
+                raise DomainError(f"{procedure} needs the sample's tilt")
+            fields = {"tilt_fallback": not tilt_result.solved}
+            # The identity tilt keeps the summary's inputs, summed in a
+            # canonical row order where the tilt's mean sums in row order.
+            if tilt_result.solved and tilt_result.multipliers.any():
+                mean = tilt_result.tilted_mean
+                if procedure == "CMS_FC":
+                    var = np.diag(tilt_result.tilted_cov)
+                    if np.any(var <= 0):
+                        raise DegenerateColumn(int(np.argmax(var <= 0)))
+                    inv_sd = 1.0 / np.sqrt(var)
+                    omega = tilt_result.tilted_cov * np.outer(inv_sd, inv_sd)
+    else:
         raise DomainError(f"procedure {procedure!r} has no selection step")
-    if rms_tables is None:
-        raise MissingTable("RMS needs kappa/eta lookup tables; none were supplied")
-    delta = min_off_diagonal(summary.correlation)
-    kappa_hat = rms_tables.kappa_at(delta)
-    if kappa_hat <= 0:
-        raise DomainError("RMS kappa table produced a nonpositive threshold")
-    eta = rms_tables.eta_at(delta, summary.n_moments)
-    schedule = KappaSchedule.parse(f"fixed:{kappa_hat}")
-    return SelectionStep(
-        gms_selection(summary, schedule, phi, **phi_params),
-        additive=eta,
-        supplementary={"delta_hat": delta, "kappa_hat": kappa_hat, "eta_hat": eta},
-    )
+    xi = np.sqrt(summary.n) * mean / np.sqrt(var) / k
+    return SelectionStep(phi_k(phi, xi, omega), **fields)
 
 
 def critical_values(
@@ -495,7 +489,6 @@ def critical_values(
     schedule: KappaSchedule,
     phi: int = 1,
     rms_tables: RmsTables | None = None,
-    **phi_params,
 ) -> tuple:
     """({(procedure, kind): CriticalValueReport}, tilt) for every requested
     pair on one sample, all read off the same ``draws`` and therefore paired.
@@ -505,6 +498,8 @@ def critical_values(
     other procedure adds its step's constant to the selection quantile, which
     procedures with equal selections share.
     """
+    if "RSW" in procedures and draws.mode != MODE_BOOTSTRAP:
+        raise DomainError("the two-step procedure is bootstrap-only")
     tilt_result = tilt(sample) if "CMS" in procedures or "CMS_FC" in procedures else None
     reports = {}
     quantiles: dict = {}
@@ -513,7 +508,7 @@ def critical_values(
             for kind in kinds:
                 reports[(proc, kind)] = rsw_critical_value(draws, summary, kind, alpha, beta)
             continue
-        step = selection_step(proc, sample, summary, schedule, phi, rms_tables, tilt_result, **phi_params)
+        step = selection_step(proc, summary, schedule, phi, rms_tables, tilt_result)
         for kind in kinds:
             key = (kind, step.selection.shifts.tobytes())
             if key not in quantiles:
@@ -546,7 +541,6 @@ def run_test(
     beta: float | None = None,
     rms_tables: RmsTables | None = None,
     rng: np.random.Generator | None = None,
-    **phi_params,
 ) -> TestDecision:
     """Evaluate the statistic and one procedure's critical value on a sample.
 
@@ -565,8 +559,6 @@ def run_test(
         raise DomainError(f"unknown mode {mode!r}")
     _check_alpha(alpha)
     if name == "RSW":
-        if mode != MODE_BOOTSTRAP:
-            raise DomainError("the two-step procedure is bootstrap-only")
         beta = rsw_beta(alpha, beta)
     if schedule is None:
         schedule = KappaSchedule.parse("sqrt-log-n")
@@ -580,7 +572,7 @@ def run_test(
     statistic = evaluate(kind, summary)
 
     reports, tilt_result = critical_values(
-        sample, summary, draws, (name,), (kind,), alpha, beta, schedule, phi, rms_tables, **phi_params
+        sample, summary, draws, (name,), (kind,), alpha, beta, schedule, phi, rms_tables
     )
     report = reports[(name, kind)]
     extras: dict = {}

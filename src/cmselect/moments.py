@@ -146,21 +146,6 @@ def summarize(sample: MomentSample) -> MomentSummary:
     )
 
 
-def studentized_scaled_mean(summary: MomentSummary, kappa: float) -> np.ndarray:
-    """Per-moment slackness statistic: sqrt(n) times the studentized mean, over kappa.
-
-    This is the quantity the selection functions threshold to decide which
-    inequalities look slack.
-    """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    var = summary.var
-    bad = np.nonzero(var <= 0)[0]
-    if bad.size:
-        raise DegenerateColumn(int(bad[0]))
-    return np.sqrt(summary.n) * summary.mean / np.sqrt(var) / kappa
-
-
 def make_toeplitz(family: CorrelationFamily) -> np.ndarray:
     """Build the symmetric Toeplitz correlation matrix with first row (1, rho...).
 

@@ -137,7 +137,8 @@ def nonneg_projection_batch(sigma: np.ndarray, v: np.ndarray, max_iter: int | No
         try:
             s_sub = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            s_sub = _solve_batch_fallback(m, rhs)
+            # Some instance's clamped block is singular.
+            raise SingularCovariance("QP free block is numerically singular")
         t_sub = v[idx] + np.matmul(sig_sub, s_sub[:, :, None])[:, :, 0]
 
         scale = 1.0 + np.abs(v[idx]).max(axis=1, keepdims=True)
@@ -189,13 +190,3 @@ def inverse_spd(matrix: np.ndarray) -> np.ndarray:
     half = np.linalg.solve(lower, np.eye(matrix.shape[0]))
     return half.T @ half
 
-
-def _solve_batch_fallback(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Per-instance solve used when the batched factorization hits a singular block."""
-    out = np.empty_like(rhs)
-    for b in range(m.shape[0]):
-        try:
-            out[b] = np.linalg.solve(m[b], rhs[b])
-        except np.linalg.LinAlgError:
-            raise SingularCovariance("QP free block is numerically singular")
-    return out

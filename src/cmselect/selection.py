@@ -67,6 +67,11 @@ class KappaSchedule:
     kind: KappaKind
     value: float = 1.0
 
+    def __post_init__(self):
+        # A nonpositive threshold would flip or blow up every selection statistic.
+        if self.kind is KappaKind.FIXED and not self.value > 0:
+            raise DomainError("fixed kappa must be positive")
+
     @classmethod
     def parse(cls, text: str) -> "KappaSchedule":
         """Parse a CLI spelling: sqrt-log-n, sqrt-2loglogn, or fixed:<v>."""
@@ -75,10 +80,7 @@ class KappaSchedule:
         if text == KappaKind.SQRT_TWO_LOG_LOG_N.value:
             return cls(KappaKind.SQRT_TWO_LOG_LOG_N)
         if text.startswith("fixed:"):
-            fixed = float(text.split(":", 1)[1])
-            if fixed <= 0:
-                raise DomainError("fixed kappa must be positive")
-            return cls(KappaKind.FIXED, fixed)
+            return cls(KappaKind.FIXED, float(text.split(":", 1)[1]))
         raise DomainError(f"unknown kappa schedule {text!r}")
 
     def spell(self) -> str:
@@ -181,12 +183,12 @@ def _statistic_value(kind: StatisticKind, vec: np.ndarray, omega: np.ndarray) ->
     return aqlr(shifted).value
 
 
-def phi_k(k: int, xi: np.ndarray, omega: np.ndarray | None = None, **params) -> SelectionVector:
+def phi_k(k: int, xi: np.ndarray, omega: np.ndarray | None = None) -> SelectionVector:
     """Dispatch on the selection-function number 1 through 5."""
     if k == 1:
         return phi1(xi)
     if k == 2:
-        return phi2(xi, **params)
+        return phi2(xi)
     if k == 3:
         return phi3(xi)
     if k == 4:
@@ -194,5 +196,5 @@ def phi_k(k: int, xi: np.ndarray, omega: np.ndarray | None = None, **params) -> 
     if k == 5:
         if omega is None:
             raise DomainError("phi5 needs the correlation matrix")
-        return phi5(xi, omega, **params)
+        return phi5(xi, omega)
     raise DomainError(f"unknown selection function index {k}")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import DegenerateColumn, NoConvergence
-from .moments import MomentSample, MomentSummary, summarize
+from .errors import NoConvergence
+from .moments import MomentSample
 
 _MAX_ITER = 200
 _KKT_TOL = 1e-10
@@ -294,35 +294,3 @@ def _build_result(sample: MomentSample, lam: np.ndarray, iterations: int, residu
         iterations=iterations,
         kkt_residual=residual,
     )
-
-
-def tilted_selection(
-    sample: MomentSample,
-    kappa: float,
-    fully_constrained: bool = False,
-    result: TiltResult | None = None,
-    summary: MomentSummary | None = None,
-) -> np.ndarray:
-    """Selection statistic built from the tilted mean.
-
-    Scales the tilted mean like `studentized_scaled_mean` scales the raw mean.
-    The default uses the unconstrained variance diagonal; the fully
-    constrained variant scales by the tilted one. ``result`` and ``summary``
-    may be passed to reuse existing computations.
-    """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    if result is None:
-        result = tilt(sample)
-    if not result.solved:
-        raise ValueError("tilt is infeasible; no tilted selection exists")
-    if fully_constrained:
-        var = np.diag(result.tilted_cov).copy()
-    else:
-        if summary is None:
-            summary = summarize(sample)
-        var = summary.var
-    bad = np.nonzero(var <= 0)[0]
-    if bad.size:
-        raise DegenerateColumn(int(bad[0]))
-    return np.sqrt(sample.n) * result.tilted_mean / np.sqrt(var) / kappa

@@ -309,6 +309,7 @@ class TestCmdSimulate:
             pytest.param({"procedures": []}, "at least one procedure", id="procedures-empty"),
             pytest.param({"null_patterns": []}, "null_patterns must list", id="null-patterns-empty"),
             pytest.param({"null_patterns": 3}, "null_patterns must list", id="null-patterns-number"),
+            pytest.param({"alternatives": 5}, "alternatives must list", id="alternatives-number"),
             pytest.param(
                 {"procedures": ["GMS", "CMS"], "alternatives": [[-1, 1]], "run": ["mnrp", "power"]},
                 "add RSW to procedures",

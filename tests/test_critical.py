@@ -14,6 +14,7 @@ from cmselect import (
     TooManyDegenerate,
     run_test,
     summarize,
+    tilt,
     upper_quantile,
 )
 from cmselect.critical import (
@@ -25,6 +26,7 @@ from cmselect.critical import (
     min_off_diagonal,
     rsw_critical_value,
     seeded_counts,
+    selection_step,
 )
 from cmselect.selection import KappaSchedule
 from cmselect.streams import ASYMPTOTIC, BOOTSTRAP, substream
@@ -252,9 +254,7 @@ class TestCms:
                 alpha=0.05, n_draws=300, seed=3,
             ).critical_value
             summary = summarize(sample)
-            from cmselect.critical import gms_selection
-
-            sel = gms_selection(summary, schedule)
+            sel = selection_step("GMS", summary, schedule).selection
             if mode == MODE_ASYMPTOTIC:
                 gms = run_gms_asym(summary, sel, StatisticKind.MMM, 0.05, 300, seed=3)
             else:
@@ -272,13 +272,50 @@ class TestCms:
         sample = MomentSample(np.column_stack([g1, g2]))
         schedule = KappaSchedule.parse("sqrt-log-n")
         summary = summarize(sample)
-        from cmselect.critical import gms_selection, selection_step
-
-        gms_sel = gms_selection(summary, schedule)
-        step = selection_step("CMS", sample, summary, schedule)
+        gms_sel = selection_step("GMS", summary, schedule).selection
+        step = selection_step("CMS", summary, schedule, tilt_result=tilt(sample))
         cms_sel, fallback = step.selection, step.tilt_fallback
         assert not fallback
         assert np.isposinf(cms_sel.shifts).sum() > np.isposinf(gms_sel.shifts).sum()
+
+    @pytest.mark.parametrize("phi", [1, 2, 3, 4])
+    def test_identity_tilt_equals_gms_bit_for_bit(self, phi):
+        # Every mean nonnegative: the tilt is the identity, so CMS and CMS_FC
+        # read the summary's canonical-order inputs, as GMS does, and row
+        # order cannot move their selection or critical value.
+        kinds = (StatisticKind.MMM, StatisticKind.AQLR)
+        schedule = KappaSchedule.parse("sqrt-log-n")
+        rng = np.random.default_rng(80 + phi)
+        for _ in range(5):
+            z = rng.standard_normal((50, 3))
+            x = z - z.mean(axis=0) + np.array([0.02, 0.1, 0.3])
+            selections = []
+            for values in (x, x[rng.permutation(50)]):
+                sample = MomentSample(values)
+                summary = summarize(sample)
+                assert not tilt(sample).multipliers.any()
+                for draws in (
+                    AsymptoticDraws(summary.correlation, 200, substream(8, ASYMPTOTIC)),
+                    BootstrapDraws(sample, summary, bootstrap_counts(substream(8, BOOTSTRAP), sample.n, 200)),
+                ):
+                    reports, _ = critical_values(
+                        sample, summary, draws, ("GMS", "CMS", "CMS_FC"), kinds, 0.05, None, schedule, phi
+                    )
+                    for kind in kinds:
+                        gms = reports[("GMS", kind)]
+                        for proc in ("CMS", "CMS_FC"):
+                            assert np.array_equal(reports[(proc, kind)].selection.shifts, gms.selection.shifts)
+                            assert reports[(proc, kind)].value == gms.value
+                            assert not reports[(proc, kind)].tilt_fallback
+                    selections.append(reports[("CMS", kinds[0])].selection.shifts)
+            assert all(np.array_equal(selections[0], other) for other in selections)
+
+    def test_needs_the_tilt(self):
+        summary = summarize(normal_sample(40, 2, 33))
+        schedule = KappaSchedule.parse("sqrt-log-n")
+        for proc in ("CMS", "CMS_FC"):
+            with pytest.raises(DomainError, match="tilt"):
+                selection_step(proc, summary, schedule)
 
     def test_infeasible_tilt_falls_back_and_flags(self):
         sample = MomentSample(np.array([[-2.0], [-1.0], [-1.5], [-0.75]]))
@@ -297,6 +334,14 @@ class TestCms:
 
 
 class TestRsw:
+    def test_asymptotic_draws_rejected(self):
+        sample = normal_sample(40, 2, 34)
+        summary = summarize(sample)
+        draws = AsymptoticDraws(summary.correlation, 200, substream(9, ASYMPTOTIC))
+        schedule = KappaSchedule.parse("sqrt-log-n")
+        with pytest.raises(DomainError, match="bootstrap-only"):
+            critical_values(sample, summary, draws, ("GMS", "RSW"), (StatisticKind.MMM,), 0.05, 0.005, schedule)
+
     def test_default_beta_is_alpha_over_ten(self):
         sample = normal_sample(50, 2, 40)
         decision = run_test(sample, StatisticKind.MMM, "rsw", alpha=0.05, n_draws=200, seed=1)

@@ -19,6 +19,7 @@ from cmselect import (
     run_power,
     simulate_sample,
 )
+from cmselect.selection import KappaKind, KappaSchedule
 from cmselect.streams import substream
 
 INF = math.inf
@@ -116,6 +117,17 @@ class TestConfigValidation:
     def test_rejects_empty_procedures_or_statistics(self, field):
         with pytest.raises(DomainError, match=field):
             small_config(**{field: ()})
+
+    @pytest.mark.parametrize("value", [0.0, -2.0])
+    def test_rejects_nonpositive_fixed_kappa_before_replicating(self, value, monkeypatch):
+        import cmselect.harness
+
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(cmselect.harness, "_replicate", no_replication)
+        with pytest.raises(DomainError, match="kappa"):
+            run_mnrp(small_config(kappa=KappaSchedule(KappaKind.FIXED, value)))
 
     @pytest.mark.parametrize("surrogate", [-10.0, 0.0, INF, math.nan])
     def test_rejects_infinity_surrogate_not_positive_finite(self, surrogate):

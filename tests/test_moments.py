@@ -9,9 +9,15 @@ from cmselect import (
     NotPositiveDefinite,
     load_csv,
     make_toeplitz,
-    studentized_scaled_mean,
     summarize,
 )
+from cmselect.critical import selection_step
+from cmselect.selection import KappaKind, KappaSchedule
+
+
+def studentized_scaled_mean(summary, kappa):
+    """GMS's xi = sqrt(n) mean / sd / kappa, read through the identity phi4."""
+    return selection_step("GMS", summary, KappaSchedule(KappaKind.FIXED, kappa), phi=4).selection.shifts
 
 
 def test_two_point_summary_uses_divisor_n():

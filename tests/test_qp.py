@@ -64,3 +64,11 @@ def test_empty_problem():
     t, value = nonneg_projection(np.zeros((0, 0)), np.zeros(0))
     assert value == 0.0
     assert t.size == 0
+
+
+def test_batch_with_a_singular_instance_reported():
+    # The second instance's clamped block [[1, 1], [1, 1]] is singular.
+    sigma = np.stack([np.eye(2), np.ones((2, 2))])
+    v = np.array([[-1.0, 2.0], [-1.0, -1.0]])
+    with pytest.raises(SingularCovariance):
+        nonneg_projection_batch(sigma, v)

@@ -34,6 +34,11 @@ class TestKappa:
         with pytest.raises(DomainError):
             KappaSchedule.parse("fixed:-1")
 
+    @pytest.mark.parametrize("value", [0.0, -2.0])
+    def test_fixed_nonpositive_rejected_on_construction(self, value):
+        with pytest.raises(DomainError, match="positive"):
+            KappaSchedule(KappaKind.FIXED, value)
+
     def test_positive_for_small_n(self):
         assert kappa(KappaSchedule.parse("sqrt-log-n"), 3) > 0
         assert kappa(KappaSchedule.parse("sqrt-2loglogn"), 3) > 0

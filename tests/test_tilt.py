@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from cmselect import MomentSample, feasible, summarize, tilt, tilted_selection
+from cmselect import MomentSample, feasible, summarize, tilt
+from cmselect.critical import selection_step
 from cmselect.harness import simulate_sample
 from cmselect.moments import CorrelationFamily
+from cmselect.selection import KappaKind, KappaSchedule
 from cmselect.streams import substream
 from oracles import pairwise_polish, simplex_grid_maximize, slsqp_candidate
 
@@ -179,21 +181,28 @@ def test_nonnegative_correlation_orders_the_means():
     assert hits / total > 0.95
 
 
+def tilted_selection(sample, kappa, fully_constrained=False):
+    """CMS's (or CMS_FC's) xi on the sample, read through the identity phi4."""
+    step = selection_step(
+        "CMS_FC" if fully_constrained else "CMS", summarize(sample),
+        KappaSchedule(KappaKind.FIXED, kappa), phi=4, tilt_result=tilt(sample),
+    )
+    return step.selection.shifts, step.tilt_fallback
+
+
 class TestTiltedSelection:
     def test_identity_when_mean_nonnegative(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((40, 3)) * 0.1 + 2.0
         sample = MomentSample(x)
         summary = summarize(sample)
-        from cmselect import studentized_scaled_mean
-
-        xi_hat = studentized_scaled_mean(summary, 2.0)
-        xi_tilted = tilted_selection(sample, 2.0)
+        xi_hat = selection_step("GMS", summary, KappaSchedule(KappaKind.FIXED, 2.0), phi=4).selection.shifts
+        xi_tilted, _ = tilted_selection(sample, 2.0)
         assert np.allclose(xi_tilted, xi_hat, atol=1e-12)
 
     def test_binding_column_zeroed(self):
         sample = MomentSample(np.array([[-2.0], [1.0]]))
-        xi = tilted_selection(sample, kappa=1.0)
+        xi, _ = tilted_selection(sample, kappa=1.0)
         assert xi[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_fully_constrained_same_signs(self):
@@ -202,11 +211,14 @@ class TestTiltedSelection:
         sample = MomentSample(g)
         if not tilt(sample).solved:
             pytest.skip("fixture infeasible")
-        default = tilted_selection(sample, 1.7, fully_constrained=False)
-        constrained = tilted_selection(sample, 1.7, fully_constrained=True)
+        default, _ = tilted_selection(sample, 1.7, fully_constrained=False)
+        constrained, _ = tilted_selection(sample, 1.7, fully_constrained=True)
         assert np.array_equal(np.sign(np.round(default, 12)), np.sign(np.round(constrained, 12)))
 
     def test_infeasible_raises(self):
+        # No tilted selection exists: CMS reads GMS's inputs and flags it.
         sample = MomentSample(np.array([[-2.0], [-1.0]]))
-        with pytest.raises(ValueError):
-            tilted_selection(sample, 1.0)
+        xi, fallback = tilted_selection(sample, 1.0)
+        assert fallback
+        gms = selection_step("GMS", summarize(sample), KappaSchedule(KappaKind.FIXED, 1.0), phi=4)
+        assert np.array_equal(xi, gms.selection.shifts)

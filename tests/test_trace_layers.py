@@ -68,6 +68,7 @@ INVERT_LAYERS = (
     "critical.BootstrapDraws",
     "critical.selection_quantile",
     "tilt.tilt",
+    "selection.phi_k",
     "statistics.evaluate",
 )
 
