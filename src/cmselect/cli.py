@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -33,12 +32,34 @@ from .selection import KappaSchedule
 from .statistics import StatisticKind
 
 _MODES = {"asym": MODE_ASYMPTOTIC, "boot": MODE_BOOTSTRAP}
+
+
+def _typed(kind):
+    """Converter that passes through a JSON value of exactly type ``kind``
+    (true is not an integer, and neither is 2.7)."""
+    def check(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+    return check
+
+
+_integer, _list = _typed(int), _typed(list)
+# The one conversion of each optional key `load_config` passes on. A key
+# missing from the file takes `ExperimentConfig`'s default, and
+# `ExperimentConfig` checks every value.
+_CONVERTERS = {
+    "r_mc": _integer, "b": _integer, "seed": _integer, "threads": _integer, "phi": _integer,
+    "alpha": float,
+    "infinity_surrogate": float,
+    "beta": lambda value: None if value is None else float(value),
+    "kappa": KappaSchedule.parse,
+    "procedures": lambda names: tuple(_list(names)),
+    "statistics": lambda names: tuple(map(StatisticKind, _list(names))),
+    "retain_critical_values": _typed(bool),
+}
 # Every top-level key `load_config` reads; any other key is rejected.
-_CONFIG_KEYS = frozenset({
-    "J", "family", "n", "r_mc", "b", "alpha", "kappa", "procedures", "statistics",
-    "null_patterns", "alternatives", "rms_tables", "seed", "threads",
-    "infinity_surrogate", "beta", "phi", "retain_critical_values", "run",
-})
+_CONFIG_KEYS = frozenset(_CONVERTERS) | {"J", "family", "n", "null_patterns", "alternatives", "rms_tables", "run"}
 
 
 def _shared_flags(parser: argparse.ArgumentParser):
@@ -163,24 +184,25 @@ def cmd_invert(args) -> int:
     return 2 if any("error" in entry for entry in listing) else 0
 
 
-def _parse_mu(entry, j: int):
-    values = []
-    for item in entry:
-        if isinstance(item, str):
-            if item.lower() in ("inf", "+inf", "infinity"):
-                values.append(math.inf)
-            else:
-                values.append(float(item))
-        else:
-            value = float(item)
-            values.append(math.inf if math.isinf(value) else value)
-    if len(values) != j:
-        raise CmselectError(f"mean vector {entry!r} does not have length {j}")
-    return tuple(values)
+def _convert(key: str, convert, value):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as err:
+        raise CmselectError(f"config key {key!r}: {err}") from err
 
 
-def load_config(path, desk_scale=False, overrides=None) -> tuple:
-    """Parse an experiment config JSON into (ExperimentConfig, phases)."""
+def _mean_vectors(spec) -> tuple:
+    # float reads "inf", "+inf", "Infinity" and JSON Infinity alike.
+    return tuple(tuple(map(float, _list(mu))) for mu in spec)
+
+
+def load_config(path, overrides=None) -> tuple:
+    """Parse an experiment config JSON into (ExperimentConfig, phases).
+
+    ``overrides`` replace file values before conversion (`cmd_simulate`
+    passes --desk-scale's r_mc and b, then any of --r-mc/--b/--seed/--threads
+    given). A value of the wrong type exits as CmselectError naming its key.
+    """
     with open(path, encoding="utf-8") as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):
@@ -188,23 +210,14 @@ def load_config(path, desk_scale=False, overrides=None) -> tuple:
     unknown = sorted(set(raw) - _CONFIG_KEYS)
     if unknown:
         raise CmselectError(f"unknown config key {', '.join(map(repr, unknown))}")
-    overrides = overrides or {}
+    raw.update(overrides or {})
 
-    j = int(raw["J"])
+    j = _convert("J", _integer, raw["J"])
     fam = raw.get("family", "Zero")
-    if isinstance(fam, dict):
-        family = CorrelationFamily(fam.get("kind", "Custom"), j, tuple(fam.get("rho", ())))
-    else:
-        family = CorrelationFamily(str(fam), j)
-
-    r_mc = int(raw.get("r_mc", default_replications(j)))
-    b = int(raw.get("b", 10000))
-    if desk_scale:
-        r_mc, b = 2000, 1000
-    if overrides.get("r_mc") is not None:
-        r_mc = overrides["r_mc"]
-    if overrides.get("b") is not None:
-        b = overrides["b"]
+    fam = fam if isinstance(fam, dict) else {"kind": fam}
+    family = _convert("family", lambda f: CorrelationFamily(f.get("kind", "Custom"), j, tuple(f.get("rho", ()))), fam)
+    fields = {key: _convert(key, convert, raw[key]) for key, convert in _CONVERTERS.items() if key in raw}
+    fields.setdefault("r_mc", default_replications(j))
 
     patterns_spec = raw.get("null_patterns", "auto")
     if isinstance(patterns_spec, str):
@@ -212,55 +225,37 @@ def load_config(path, desk_scale=False, overrides=None) -> tuple:
     elif not isinstance(patterns_spec, list) or not patterns_spec:
         raise CmselectError('null_patterns must list at least one pattern or name a scheme ("auto", "full")')
     else:
-        nulls = tuple(_parse_mu(entry, j) for entry in patterns_spec)
-    alternatives_spec = raw.get("alternatives", [])
-    if not isinstance(alternatives_spec, list):
+        nulls = _convert("null_patterns", _mean_vectors, patterns_spec)
+    alternatives = raw.get("alternatives", [])
+    if not isinstance(alternatives, list):
         raise CmselectError("alternatives must list mean vectors")
-    alternatives = tuple(_parse_mu(entry, j) for entry in alternatives_spec)
-
-    tables = None
     if raw.get("rms_tables"):
-        tables = RmsTables.from_json(Path(path).parent / raw["rms_tables"])
-
-    seed = raw.get("seed", 0)
-    if overrides.get("seed") is not None:
-        seed = overrides["seed"]
-    threads = raw.get("threads", 1)
-    if overrides.get("threads") is not None:
-        threads = overrides["threads"]
+        fields["rms_tables"] = _convert(
+            "rms_tables", lambda name: RmsTables.from_json(Path(path).parent / name), raw["rms_tables"]
+        )
 
     config = ExperimentConfig(
         J=j,
         family=family,
-        n=int(raw["n"]),
-        r_mc=r_mc,
-        b=b,
-        alpha=float(raw.get("alpha", 0.05)),
-        kappa=KappaSchedule.parse(raw.get("kappa", "sqrt-log-n")),
-        procedures=tuple(raw.get("procedures", ["GMS", "CMS"])),
-        statistics=tuple(StatisticKind(s) for s in raw.get("statistics", ["mmm", "aqlr"])),
+        n=_convert("n", _integer, raw["n"]),
         null_mu=nulls,
-        alternative_mu=alternatives,
-        seed=int(seed),
-        infinity_surrogate=float(raw.get("infinity_surrogate", 10.0)),
-        beta=None if raw.get("beta") is None else float(raw["beta"]),
-        phi=int(raw.get("phi", 1)),
-        rms_tables=tables,
-        retain_critical_values=bool(raw.get("retain_critical_values", False)),
-        threads=int(threads),
+        alternative_mu=_convert("alternatives", _mean_vectors, alternatives),
+        **fields,
     )
-    phases = tuple(raw.get("run", ["mnrp"]))
+    phases = raw.get("run", ["mnrp"])
+    if not isinstance(phases, list) or not phases:
+        raise CmselectError("run must be a non-empty list of phases")
     for phase in phases:
         if phase not in ("mnrp", "power"):
             raise CmselectError(f"unknown phase {phase!r} in config")
     if "power" in phases:
-        if not alternatives:
+        if not config.alternative_mu:
             raise CmselectError("the power phase needs at least one alternative mean vector")
         corrected = [proc for proc in config.procedures if proc in CORRECTED_PROCEDURES]
         if corrected and "RSW" not in config.procedures:
             names = ", ".join(corrected)
             raise CmselectError(f"the power phase corrects {names} against RSW; add RSW to procedures")
-    return config, phases
+    return config, tuple(phases)
 
 
 def _summary_lines(result) -> list:
@@ -281,8 +276,10 @@ def _summary_lines(result) -> list:
 
 
 def cmd_simulate(args) -> int:
-    overrides = {"seed": args.seed, "threads": args.threads, "r_mc": args.r_mc, "b": args.b}
-    config, phases = load_config(args.config, desk_scale=args.desk_scale, overrides=overrides)
+    overrides = {"r_mc": 2000, "b": 1000} if args.desk_scale else {}
+    flags = {"r_mc": args.r_mc, "b": args.b, "seed": args.seed, "threads": args.threads}
+    overrides.update((key, value) for key, value in flags.items() if value is not None)
+    config, phases = load_config(args.config, overrides)
 
     if args.dry_run:
         echo = {
@@ -305,19 +302,12 @@ def cmd_simulate(args) -> int:
         return 0
 
     stem = Path(args.output) if args.output else Path(args.config).with_suffix("")
-    results = {}
-    if "mnrp" in phases or "power" in phases:
-        mnrp_result = run_mnrp(config)
-        results["mnrp"] = mnrp_result
-        if "mnrp" in phases:
-            for line in _summary_lines(mnrp_result):
-                print(line)
+    results = {"mnrp": run_mnrp(config)}
+    if "mnrp" in phases:
+        print("\n".join(_summary_lines(results["mnrp"])))
     if "power" in phases:
-        corrections = corrections_from(results["mnrp"])
-        power_result = run_power(config, corrections)
-        results["power"] = power_result
-        for line in _summary_lines(power_result):
-            print(line)
+        results["power"] = run_power(config, corrections_from(results["mnrp"]))
+        print("\n".join(_summary_lines(results["power"])))
 
     for phase in phases:
         result = results[phase]

@@ -220,7 +220,9 @@ class BootstrapDraws(_Draws):
     mode = MODE_BOOTSTRAP
 
     def __init__(self, sample: MomentSample, summary: MomentSummary, counts: np.ndarray):
-        x = sample.values
+        # Resampling the centered columns keeps E[x^2] - E[x]^2 and the
+        # degeneracy floor free of the columns' offsets.
+        x = sample.values - summary.mean
         n, j = x.shape
         n_draws = counts.shape[0]
 
@@ -240,7 +242,7 @@ class BootstrapDraws(_Draws):
         sd_star = np.sqrt(var_star)
         inv_sd = 1.0 / sd_star
         omega_star = sigma_star * inv_sd[:, :, None] * inv_sd[:, None, :]
-        g_recentered_stud = math.sqrt(n) * (g_star - summary.mean) * inv_sd
+        g_recentered_stud = math.sqrt(n) * g_star * inv_sd
 
         self.n_draws = n_draws
         self.valid = valid

@@ -83,7 +83,8 @@ def null_patterns(j: int, scheme: str = "auto") -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a size or power experiment needs, seed included."""
+    """Everything a size or power experiment needs, seed included; the one
+    place its values are checked, for the command line and library alike."""
 
     J: int
     family: CorrelationFamily
@@ -105,6 +106,8 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if self.n < 2:
+            raise DomainError("n must be at least 2")
         if self.r_mc < 1:
             raise DomainError("r_mc must be at least 1")
         if self.b < 100:
@@ -115,6 +118,8 @@ class ExperimentConfig:
             raise DomainError("threads must be at least 1")
         if not 0.0 < self.infinity_surrogate < math.inf:
             raise DomainError("infinity_surrogate must be positive and finite")
+        if self.phi not in (1, 2, 3, 4, 5):
+            raise DomainError("phi must be 1 through 5")
         _check_alpha(self.alpha)
         rsw_beta(self.alpha, self.beta)
         if not self.procedures:
@@ -130,7 +135,7 @@ class ExperimentConfig:
             entries = tuple(mu)
             if len(entries) != self.J:
                 raise DomainError("null pattern length must equal J")
-            if not all(e == 0.0 or math.isinf(e) for e in entries):
+            if not all(e in (0.0, math.inf) for e in entries):
                 raise DomainError("null patterns may only contain 0 and +inf")
             if 0.0 not in entries:
                 raise DomainError("null patterns need at least one binding moment")
@@ -267,10 +272,9 @@ def _run_phase(config: ExperimentConfig, patterns, phase: int) -> dict:
     return table
 
 
-def run_mnrp(config: ExperimentConfig, patterns=None) -> ExperimentResult:
+def run_mnrp(config: ExperimentConfig) -> ExperimentResult:
     """Size sweep: rejection rates over the null patterns and their maximum."""
-    if patterns is None:
-        patterns = config.null_mu or null_patterns(config.J)
+    patterns = config.null_mu or null_patterns(config.J)
     raw = _run_phase(config, patterns, PHASE_NULL)
     cells, diagnostics = _tabulate(config, raw)
     for cell in cells.values():
@@ -352,15 +356,14 @@ def corrections_from(result: ExperimentResult) -> dict:
     return out
 
 
-def run_power(config: ExperimentConfig, corrections: dict | None = None, alternatives=None) -> ExperimentResult:
+def run_power(config: ExperimentConfig, corrections: dict | None = None) -> ExperimentResult:
     """Local-power run at mu / sqrt(n) with corrected critical values.
 
     ``corrections`` maps (procedure, statistic-name) to the additive constant
     from `mnrp_correction`; the two-step baseline runs uncorrected. Rejection
     uses T > c + delta (plus the first-stage event for the two-step test).
     """
-    if alternatives is None:
-        alternatives = config.alternative_mu
+    alternatives = config.alternative_mu
     if not alternatives:
         raise DomainError("power runs need at least one alternative mean vector")
     corrections = corrections or {}

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CsvFormatError, DegenerateColumn, NotPositiveDefinite
 
 # Columns whose sample variance falls below this (relative to the squared
-# column scale) are treated as degenerate.
+# largest deviation from the column mean) are treated as degenerate.
 _VARIANCE_FLOOR = 1e-14
 
 
@@ -130,7 +130,7 @@ def summarize(sample: MomentSample) -> MomentSummary:
     cov = centered.T @ centered / n
     cov = 0.5 * (cov + cov.T)
     var = np.diag(cov).copy()
-    scale = np.abs(x).max(axis=0) ** 2
+    scale = np.abs(centered).max(axis=0) ** 2
     bad = np.nonzero(var <= _VARIANCE_FLOOR * scale)[0]
     if bad.size:
         raise DegenerateColumn(int(bad[0]))

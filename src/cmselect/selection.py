@@ -79,7 +79,7 @@ class KappaSchedule:
             return cls(KappaKind.SQRT_LOG_N)
         if text == KappaKind.SQRT_TWO_LOG_LOG_N.value:
             return cls(KappaKind.SQRT_TWO_LOG_LOG_N)
-        if text.startswith("fixed:"):
+        if isinstance(text, str) and text.startswith("fixed:"):
             return cls(KappaKind.FIXED, float(text.split(":", 1)[1]))
         raise DomainError(f"unknown kappa schedule {text!r}")
 

@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cmselect import StatisticKind, load_csv, run_test
-from cmselect.cli import main
+from cmselect.cli import load_config, main
 from cmselect.critical import seeded_counts
 
 
@@ -315,6 +316,22 @@ class TestCmdSimulate:
                 "add RSW to procedures",
                 id="power-without-rsw",
             ),
+            pytest.param({"n": None}, "config key 'n'", id="n-null"),
+            pytest.param({"procedures": 5}, "config key 'procedures'", id="procedures-number"),
+            pytest.param({"alpha": [1]}, "config key 'alpha'", id="alpha-list"),
+            pytest.param({"kappa": 3}, "unknown kappa schedule", id="kappa-number"),
+            pytest.param({"threads": None}, "config key 'threads'", id="threads-null"),
+            pytest.param({"rms_tables": 5}, "config key 'rms_tables'", id="rms-tables-number"),
+            pytest.param({"retain_critical_values": "no"}, "config key 'retain_critical_values'", id="retain-string"),
+            pytest.param({"r_mc": 2.7}, "config key 'r_mc'", id="r-mc-fractional"),
+            pytest.param({"run": []}, "run must be a non-empty list", id="run-empty"),
+            pytest.param({"run": "mnrp"}, "run must be a non-empty list", id="run-string"),
+            pytest.param({"null_patterns": [["-inf", 0]]}, "only contain 0 and +inf", id="null-pattern-minus-inf"),
+            pytest.param(
+                {"null_patterns": [[0, -math.inf]]}, "only contain 0 and +inf", id="null-pattern-minus-infinity"
+            ),
+            pytest.param({"n": 1}, "n must be at least 2", id="n-one"),
+            pytest.param({"phi": 7}, "phi must be 1 through 5", id="phi-seven-rsw-only"),
         ],
     )
     def test_invalid_config_exits_two_before_replicating(self, tmp_path, capsys, monkeypatch, fields, fragment):
@@ -344,3 +361,39 @@ class TestCmdSimulate:
         path = tmp_path / "phase.json"
         path.write_text(json.dumps({"J": 2, "family": "Zero", "n": 50, "run": ["bogus"]}))
         assert main(["simulate", str(path)]) == 2
+
+    def test_seed_and_threads_flags_equal_the_config_keys(self, tmp_path, capsys):
+        base = {"J": 2, "family": "Neg", "n": 50, "r_mc": 6, "b": 100, "procedures": ["GMS", "CMS"], "seed": 1}
+        written = {}
+        for name, config, flags in (
+            ("flags", base, ["--seed", "9", "--threads", "2"]),
+            ("keys", dict(base, seed=9, threads=2), []),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / name
+            assert main(["simulate", str(path), "--output", str(out), "--format", "json", *flags]) == 0
+            written[name] = (tmp_path / f"{name}_mnrp.json").read_text()
+        capsys.readouterr()
+        assert written["flags"] == written["keys"]
+
+    def test_spelled_infinity_equals_json_infinity(self, tmp_path):
+        configs = {}
+        for spelling in ("inf", "+inf", "Infinity", math.inf):
+            path = tmp_path / "patterns.json"
+            path.write_text(json.dumps({"J": 2, "n": 50, "null_patterns": [[0, spelling], [spelling, 0]]}))
+            configs[spelling] = load_config(path)[0]
+        assert configs[math.inf].null_mu == ((0.0, math.inf), (math.inf, 0.0))
+        assert all(config == configs[math.inf] for config in configs.values())
+
+    def test_custom_family_config_runs(self, tmp_path, capsys):
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps({
+            "J": 3, "family": {"kind": "Custom", "rho": [0.4, 0.1]}, "n": 60, "r_mc": 4, "b": 100,
+            "procedures": ["GMS", "CMS"], "statistics": ["mmm"], "kappa": "fixed:1.5", "phi": 2,
+        }))
+        assert main(["simulate", str(path), "--output", str(tmp_path / "custom")]) == 0
+        capsys.readouterr()
+        rows = (tmp_path / "custom_mnrp.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 7
+        assert all(row.split(",")[3] == "Custom" for row in rows)

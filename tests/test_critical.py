@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from cmselect import (
@@ -190,6 +192,58 @@ class TestBootstrap:
         sample = MomentSample(np.array([[0.0], [1.0]]))
         with pytest.raises(TooManyDegenerate):
             BootstrapDraws(sample, summarize(sample), bootstrap_counts(substream(1, 1), sample.n, 200))
+
+
+# A fixed sample and fixed counts for the location and scale properties: one
+# violated, one nearly binding and one slack moment, correlated.
+_PROPERTY_VALUES = np.random.default_rng(73).standard_normal((80, 3)) @ np.array(
+    [[1.0, 0.0, 0.0], [0.5, 0.8, 0.0], [0.2, 0.3, 0.9]]
+).T + [-0.15, 0.1, 0.5]
+_PROPERTY_COUNTS = bootstrap_counts(substream(9, BOOTSTRAP), 80, 300)
+_scales = st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3).map(np.array)
+
+
+class TestLocationAndScale:
+    @pytest.mark.parametrize("procedure", ["gms", "cms", "rsw"])
+    def test_a_large_offset_gives_the_moderate_offset_result(self, procedure):
+        # The slack column sits at 1e5 or 1e7; either way it is dropped, so
+        # the decision must not notice how far away it is.
+        base = np.random.default_rng(71).standard_normal((200, 3)) + [-0.1, 0.05, 0.0]
+        decisions = []
+        for offset in (1e5, 1e7):
+            values = base.copy()
+            values[:, 2] += offset
+            decisions.append(run_test(MomentSample(values), StatisticKind.AQLR, procedure, n_draws=2000, seed=4))
+        moderate, large = decisions
+        assert large.statistic == pytest.approx(moderate.statistic, rel=1e-9)
+        assert large.critical_value.value == pytest.approx(moderate.critical_value.value, rel=1e-9)
+        assert large.critical_value.skipped_draws == moderate.critical_value.skipped_draws == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(-1e7, 1e7), min_size=3, max_size=3).map(np.array), _scales)
+    def test_bootstrap_draws_are_free_of_offset_and_scale(self, offsets, scales):
+        reference_sample = MomentSample(_PROPERTY_VALUES)
+        reference = BootstrapDraws(reference_sample, summarize(reference_sample), _PROPERTY_COUNTS)
+        sample = MomentSample(_PROPERTY_VALUES * scales + offsets)
+        draws = BootstrapDraws(sample, summarize(sample), _PROPERTY_COUNTS)
+        assert draws.skipped == reference.skipped == 0
+        np.testing.assert_allclose(draws.g_recentered_stud, reference.g_recentered_stud, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(draws.omega_star, reference.omega_star, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(draws.sd_star / scales, reference.sd_star, rtol=1e-6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_scales)
+    def test_selections_are_free_of_scale(self, scales):
+        # An offset moves a moment's slackness, so selections are only
+        # invariant under positive column scales.
+        schedule = KappaSchedule.parse("sqrt-log-n")
+        for procedure in ("GMS", "CMS", "CMS_FC"):
+            shifts = []
+            for values in (_PROPERTY_VALUES, _PROPERTY_VALUES * scales):
+                sample = MomentSample(values)
+                step = selection_step(procedure, summarize(sample), schedule, tilt_result=tilt(sample))
+                shifts.append(step.selection.shifts)
+            assert np.array_equal(*shifts)
 
 
 class TestBootstrapCriticalValues:
@@ -468,6 +522,25 @@ class TestRunTest:
         sample = normal_sample(30, 2, 62)
         with pytest.raises(DomainError):
             run_test(sample, StatisticKind.MMM, "rsw", mode=MODE_ASYMPTOTIC)
+
+    @pytest.mark.parametrize("mode", [MODE_BOOTSTRAP, MODE_ASYMPTOTIC])
+    @pytest.mark.parametrize("procedure", ["gms", "cms", "cms-fc"])
+    def test_phi5_selects_what_phi1_selects(self, procedure, mode):
+        """phi5 keeps the set c minimizing MMM(-c*xi, Omega) - |c|. MMM reads
+        only Omega's diagonal, which is one for the correlation matrix phi5
+        receives, so the score is a sum over kept moments of
+        max(xi_j, 0)^2 - 1: each moment is kept iff xi_j <= 1 (ties keep),
+        which is phi1's rule."""
+        sample = normal_sample(100, 4, 64, shift=np.array([-0.2, 0.0, 0.3, 1.0]))
+        decisions = [
+            run_test(sample, StatisticKind.AQLR, procedure, phi=phi, mode=mode, n_draws=300, seed=2)
+            for phi in (1, 5)
+        ]
+        phi1, phi5 = (decision.critical_value for decision in decisions)
+        assert phi5.selection.source == "phi5"
+        assert np.array_equal(phi5.selection.shifts, phi1.selection.shifts)
+        assert 0 < phi5.selection.omitted.sum() < 4
+        assert phi5.value == phi1.value
 
     def test_decision_serializes(self):
         import json

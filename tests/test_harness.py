@@ -134,6 +134,21 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match="infinity_surrogate"):
             small_config(infinity_surrogate=surrogate)
 
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    def test_rejects_n_below_two(self, n):
+        with pytest.raises(DomainError, match="n must be at least 2"):
+            small_config(n=n)
+
+    @pytest.mark.parametrize("phi", [0, 6, 7])
+    def test_rejects_phi_outside_one_to_five(self, phi):
+        with pytest.raises(DomainError, match="phi"):
+            small_config(phi=phi)
+
+    @pytest.mark.parametrize("pattern", [(-INF, 0.0), (0.0, -INF)])
+    def test_rejects_minus_infinity_in_a_null_pattern(self, pattern):
+        with pytest.raises(DomainError, match=r"0 and \+inf"):
+            small_config(null_mu=(pattern,))
+
 
 @pytest.fixture(scope="module")
 def result():

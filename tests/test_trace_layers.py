@@ -46,13 +46,13 @@ def test_sweep_records_a_span_in_every_layer(monkeypatch):
         b=100,
         procedures=("GMS", "CMS", "CMS_FC", "RSW"),
         statistics=(StatisticKind.MMM, StatisticKind.AQLR),
+        null_mu=((0.0, 0.0, 0.0, 0.0), (0.0, float("inf"), float("inf"), float("inf"))),
         seed=3,
     )
-    patterns = ((0.0, 0.0, 0.0, 0.0), (0.0, float("inf"), float("inf"), float("inf")))
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        run_mnrp(config, patterns)
+        run_mnrp(config)
     finally:
         tracer.remove()
     assert tracer.absent == []
