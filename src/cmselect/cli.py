@@ -44,15 +44,23 @@ def _typed(kind):
     return check
 
 
+def _real(value) -> float:
+    """float, except that a JSON true or false is not a number. Strings
+    float reads ("0.05", "inf", "Infinity") are kept."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 _integer, _list = _typed(int), _typed(list)
 # The one conversion of each optional key `load_config` passes on. A key
 # missing from the file takes `ExperimentConfig`'s default, and
 # `ExperimentConfig` checks every value.
 _CONVERTERS = {
     "r_mc": _integer, "b": _integer, "seed": _integer, "threads": _integer, "phi": _integer,
-    "alpha": float,
-    "infinity_surrogate": float,
-    "beta": lambda value: None if value is None else float(value),
+    "alpha": _real,
+    "infinity_surrogate": _real,
+    "beta": lambda value: None if value is None else _real(value),
     "kappa": KappaSchedule.parse,
     "procedures": lambda names: tuple(_list(names)),
     "statistics": lambda names: tuple(map(StatisticKind, _list(names))),
@@ -192,8 +200,7 @@ def _convert(key: str, convert, value):
 
 
 def _mean_vectors(spec) -> tuple:
-    # float reads "inf", "+inf", "Infinity" and JSON Infinity alike.
-    return tuple(tuple(map(float, _list(mu))) for mu in spec)
+    return tuple(tuple(map(_real, _list(mu))) for mu in spec)
 
 
 def load_config(path, overrides=None) -> tuple:

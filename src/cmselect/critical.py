@@ -41,7 +41,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DegenerateColumn, DomainError, MissingTable, TooManyDegenerate
-from .moments import _VARIANCE_FLOOR, MomentSample, MomentSummary, cholesky_factor, summarize
+from .moments import MomentSample, MomentSummary, cholesky_factor, summarize, variance_floor
 from .selection import KappaSchedule, SelectionVector, kappa as kappa_value, phi_k
 from .statistics import StatisticKind, adjusted_sigma, evaluate, shifted_statistic_batch
 from .streams import ASYMPTOTIC, BOOTSTRAP, substream
@@ -220,8 +220,8 @@ class BootstrapDraws(_Draws):
     mode = MODE_BOOTSTRAP
 
     def __init__(self, sample: MomentSample, summary: MomentSummary, counts: np.ndarray):
-        # Resampling the centered columns keeps E[x^2] - E[x]^2 and the
-        # degeneracy floor free of the columns' offsets.
+        # Resampling the centered columns keeps E[x^2] - E[x]^2 free of
+        # cancellation at large column offsets.
         x = sample.values - summary.mean
         n, j = x.shape
         n_draws = counts.shape[0]
@@ -232,8 +232,7 @@ class BootstrapDraws(_Draws):
         sigma_star = 0.5 * (sigma_star + np.swapaxes(sigma_star, 1, 2))
 
         var_star = np.diagonal(sigma_star, axis1=1, axis2=2)
-        scale = np.abs(x).max(axis=0) ** 2
-        valid = np.all(var_star > _VARIANCE_FLOOR * scale, axis=1)
+        valid = np.all(var_star > variance_floor(sample.values, x), axis=1)
         skipped = int(n_draws - valid.sum())
         if skipped > _DEGENERATE_CEILING * n_draws:
             raise TooManyDegenerate(skipped, n_draws)

@@ -22,6 +22,20 @@ from .errors import CsvFormatError, DegenerateColumn, NotPositiveDefinite
 # Columns whose sample variance falls below this (relative to the squared
 # largest deviation from the column mean) are treated as degenerate.
 _VARIANCE_FLOOR = 1e-14
+# Deviations from the mean carry a rounding error of a few ulps of the
+# column's magnitude (a constant 0.1 column has mean 0.1 ± 1 ulp), so a
+# standard deviation below this many multiples of the column's largest
+# magnitude is rounding noise, not spread.
+_ROUNDING_FLOOR = 1024 * np.finfo(float).eps
+
+
+def variance_floor(values: np.ndarray, centered: np.ndarray) -> np.ndarray:
+    """Per-column variance at or below which a column is degenerate: the
+    larger of the spread floor on the centered columns and the rounding
+    floor on the raw ones."""
+    spread = _VARIANCE_FLOOR * np.abs(centered).max(axis=0) ** 2
+    rounding = (_ROUNDING_FLOOR * np.abs(values).max(axis=0)) ** 2
+    return np.maximum(spread, rounding)
 
 
 @dataclass(frozen=True)
@@ -117,8 +131,9 @@ class CorrelationFamily:
 def summarize(sample: MomentSample) -> MomentSummary:
     """Compute mean, covariance (divisor n), variances and correlation.
 
-    Raises DegenerateColumn if any column has zero sample variance, since
-    every downstream studentization divides by the column standard deviation.
+    Raises DegenerateColumn if any column's sample variance is at or below
+    `variance_floor` (zero spread, up to rounding), since every downstream
+    studentization divides by the column standard deviation.
     """
     x = sample.values
     n = sample.n
@@ -130,8 +145,7 @@ def summarize(sample: MomentSample) -> MomentSummary:
     cov = centered.T @ centered / n
     cov = 0.5 * (cov + cov.T)
     var = np.diag(cov).copy()
-    scale = np.abs(centered).max(axis=0) ** 2
-    bad = np.nonzero(var <= _VARIANCE_FLOOR * scale)[0]
+    bad = np.nonzero(var <= variance_floor(x, centered))[0]
     if bad.size:
         raise DegenerateColumn(int(bad[0]))
     inv_sd = 1.0 / np.sqrt(var)

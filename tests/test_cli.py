@@ -332,6 +332,12 @@ class TestCmdSimulate:
             ),
             pytest.param({"n": 1}, "n must be at least 2", id="n-one"),
             pytest.param({"phi": 7}, "phi must be 1 through 5", id="phi-seven-rsw-only"),
+            pytest.param({"infinity_surrogate": True}, "'infinity_surrogate'", id="infinity-surrogate-bool"),
+            pytest.param({"beta": False}, "'beta'", id="beta-bool"),
+            pytest.param({"null_patterns": [[False, "inf"]]}, "'null_patterns'", id="null-pattern-bool"),
+            pytest.param(
+                {"run": ["power"], "alternatives": [[True, 0]]}, "'alternatives'", id="alternative-bool"
+            ),
         ],
     )
     def test_invalid_config_exits_two_before_replicating(self, tmp_path, capsys, monkeypatch, fields, fragment):

@@ -7,6 +7,7 @@ from scipy.stats import norm
 from cmselect import (
     AsymptoticDraws,
     BootstrapDraws,
+    DegenerateColumn,
     DomainError,
     MissingTable,
     MomentSample,
@@ -186,6 +187,16 @@ class TestBootstrap:
         counts = seeded_counts(3, 20, 100)
         assert not counts.flags.writeable
         assert np.array_equal(counts, bootstrap_counts(substream(3, BOOTSTRAP), 20, 100))
+
+    def test_constant_column_is_degenerate_in_both_modes(self):
+        # A constant -0.1 column has an inexact mean; its rounding noise must
+        # not pass as spread and turn into a huge statistic.
+        values = np.random.default_rng(5).standard_normal((10, 2))
+        values[:, 1] = -0.1
+        for mode in (MODE_ASYMPTOTIC, MODE_BOOTSTRAP):
+            with pytest.raises(DegenerateColumn) as exc:
+                run_test(MomentSample(values), StatisticKind.AQLR, "gms", mode=mode, n_draws=200)
+            assert exc.value.column == 1
 
     def test_too_many_degenerate(self):
         # two observations: half of all resamples duplicate a single row

@@ -34,6 +34,17 @@ def test_constant_column_is_degenerate():
     assert exc.value.column == 0
 
 
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("value", [0.1, -0.1])
+def test_constant_column_with_an_inexact_mean_is_degenerate(n, value):
+    # The mean of n copies of 0.1 rounds to 0.1 +- 1 ulp, so every deviation
+    # is the same nonzero rounding error; that is not spread.
+    values = np.column_stack([np.arange(n, dtype=float), np.full(n, value)])
+    with pytest.raises(DegenerateColumn) as exc:
+        summarize(MomentSample(values))
+    assert exc.value.column == 1
+
+
 def test_correlation_matches_pairwise_pearson_oracle():
     rng = np.random.default_rng(42)
     x = rng.standard_normal((50, 4)) @ rng.standard_normal((4, 4))
