@@ -70,6 +70,18 @@ _CONVERTERS = {
 _CONFIG_KEYS = frozenset(_CONVERTERS) | {"J", "family", "n", "null_patterns", "alternatives", "rms_tables", "run"}
 
 
+def _seed(text: str) -> int:
+    """--seed of `test` and `invert`, refused at parse time unless it is a
+    non-negative integer, the entropy `substream` accepts."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _shared_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--statistic", choices=["mmm", "aqlr"], default="aqlr")
     parser.add_argument("--procedure", choices=list(PROCEDURE_ALIASES), default="cms")
@@ -79,7 +91,7 @@ def _shared_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--draws", type=int, default=10000)
     parser.add_argument("--beta", type=float, default=None, help="first-stage level (rsw)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--rms-tables", default=None, help="JSON lookup tables for rms")
 
 

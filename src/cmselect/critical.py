@@ -252,6 +252,8 @@ class BootstrapDraws(_Draws):
         # Per-replicate minimum of the reverse-centered studentized deviations,
         # the pivot behind the first-stage confidence rectangle.
         self.rectangle_min = np.min(-g_recentered_stud, axis=1)
+        # The AQLR clamped sets carried between calls; None until the first.
+        self._clamped = None
 
     @cached_property
     def _omega_adjusted(self) -> np.ndarray:
@@ -263,9 +265,19 @@ class BootstrapDraws(_Draws):
 
     def statistic_draws(self, shift: np.ndarray, kind: StatisticKind, omit: np.ndarray | None = None) -> np.ndarray:
         """Draws of S(G* + shift, Omega*) over the valid replicates, with
-        ``shift`` finite and ``omit`` masking omitted moments."""
-        sigma = self._omega_adjusted if kind is StatisticKind.AQLR else self.omega_star
-        return shifted_statistic_batch(kind, self.g_recentered_stud + shift, sigma, omit)
+        ``shift`` finite and ``omit`` masking omitted moments.
+
+        Every AQLR call solves one QP per replicate on the same G* and
+        Omega*, so each call's final clamped sets are kept as the next
+        call's first guess (see `shifted_statistic_batch`). The first call
+        starts from the solver's default guess, the negative entries.
+        """
+        vec = self.g_recentered_stud + shift
+        if kind is StatisticKind.MMM:
+            return shifted_statistic_batch(kind, vec, self.omega_star, omit)
+        if self._clamped is None:
+            self._clamped = vec < 0.0
+        return shifted_statistic_batch(kind, vec, self._omega_adjusted, omit, self._clamped)
 
 
 def bootstrap_counts(rng: np.random.Generator, n: int, n_draws: int) -> np.ndarray:

@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise DomainError("J must match the correlation family")
         if self.threads < 1:
             raise DomainError("threads must be at least 1")
+        if self.seed < 0:
+            raise DomainError("seed must be a non-negative integer")
         if not 0.0 < self.infinity_surrogate < math.inf:
             raise DomainError("infinity_surrogate must be positive and finite")
         if self.phi not in (1, 2, 3, 4, 5):

@@ -11,9 +11,13 @@ Two implementations share this module:
 * `nonneg_projection_batch` solves a stack of independent instances
   simultaneously, which the critical-value simulations need: one instance per
   simulation or bootstrap draw. It pivots on the complementarity system in
-  Sigma = W^(-1) directly (block principal pivoting with a single-pivot
-  fallback), so no inverse is ever formed, and is tested to agree with the
-  reference solver to tight tolerance.
+  Sigma = W^(-1) directly (block principal pivoting, Judice & Pires 1994,
+  with a Murty single-pivot fallback), so no inverse is ever formed, and is
+  tested to agree with the reference solver to tight tolerance. Each
+  instance's result is the masked K-by-K solve of the round that certifies
+  its final clamped set, so it depends on that set alone: a caller that
+  knows a likely clamped set (the previous solve on the same draws) passes
+  it as ``start`` and saves rounds without changing a byte.
 
 Both return the optimal point and value; KKT conditions of the returned point
 are checkable by the caller (the gradient is 2 W (t - v)).
@@ -94,7 +98,9 @@ def nonneg_projection(w: np.ndarray, v: np.ndarray, max_iter: int | None = None)
     raise QPNoConvergence(f"active-set QP did not converge within {max_iter} iterations")
 
 
-def nonneg_projection_batch(sigma: np.ndarray, v: np.ndarray, max_iter: int | None = None):
+def nonneg_projection_batch(
+    sigma: np.ndarray, v: np.ndarray, max_iter: int | None = None, start: np.ndarray | None = None
+):
     """Batched counterpart of `nonneg_projection`, parameterized by Sigma = W^(-1).
 
     Substituting s = W (t - v) turns the optimality conditions into the
@@ -103,6 +109,14 @@ def nonneg_projection_batch(sigma: np.ndarray, v: np.ndarray, max_iter: int | No
     (B, K, K) or (K, K) (broadcast); ``v`` has shape (B, K). Returns
     (t, value) with shapes (B, K) and (B,). Instances the pivoting scheme
     cannot finish are re-solved one at a time with the reference solver.
+
+    ``start`` is an optional (B, K) boolean first guess of each instance's
+    clamped set, left unmodified; the default is ``v < 0``. An instance with
+    no negative entry is finished at t = v whatever its guess. The guess only
+    changes how many rounds an instance takes: its t and value come from the
+    one masked solve of the round that certifies its final clamped set, which
+    depends on (Sigma_b, v_b) and that set alone, so any guess that ends on
+    the same set returns the same bytes.
     """
     v = np.asarray(v, dtype=float)
     batch, k = v.shape
@@ -115,13 +129,14 @@ def nonneg_projection_batch(sigma: np.ndarray, v: np.ndarray, max_iter: int | No
         max_iter = 50 * k
 
     eye = np.arange(k)
+    done = ~np.any(v < 0.0, axis=1)
     # True marks coordinates clamped to zero, where the multiplier s lives.
-    clamped = v < 0.0
-    t = np.where(clamped, 0.0, v)
+    clamped = v < 0.0 if start is None else np.array(start, dtype=bool)
+    t = v.copy()
     s = np.zeros_like(t)
-    done = ~clamped.any(axis=1)
     stalled = np.zeros(batch, dtype=int)
     prev_violations = np.full(batch, k + 1, dtype=int)
+    tol = _KKT_TOL * (1.0 + np.abs(v).max(axis=1, keepdims=True))
 
     for _ in range(max_iter):
         if done.all():
@@ -129,28 +144,29 @@ def nonneg_projection_batch(sigma: np.ndarray, v: np.ndarray, max_iter: int | No
         idx = np.nonzero(~done)[0]
         active = clamped[idx]
         sig_sub = sigma[idx]
+        v_sub = v[idx]
         # Solve Sigma_AA s_A = -v_A with the free rows and columns masked to
         # the identity, so the solve returns s = 0 there exactly.
-        m = sig_sub * active[:, :, None] * active[:, None, :]
+        m = sig_sub * (active[:, :, None] & active[:, None, :])
         m[:, eye, eye] = np.where(active, m[:, eye, eye], 1.0)
-        rhs = np.where(active, -v[idx], 0.0)
+        rhs = np.where(active, -v_sub, 0.0)
         try:
             s_sub = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             # Some instance's clamped block is singular.
             raise SingularCovariance("QP free block is numerically singular")
-        t_sub = v[idx] + np.matmul(sig_sub, s_sub[:, :, None])[:, :, 0]
+        t_sub = v_sub + np.matmul(sig_sub, s_sub[:, :, None])[:, :, 0]
 
-        scale = 1.0 + np.abs(v[idx]).max(axis=1, keepdims=True)
-        bad_s = active & (s_sub < -_KKT_TOL * scale)
-        bad_t = ~active & (t_sub < -_KKT_TOL * scale)
-        bad = bad_s | bad_t
+        tol_sub = tol[idx]
+        bad = np.where(active, s_sub, t_sub) < -tol_sub
         n_bad = bad.sum(axis=1)
 
-        s[idx] = np.where(active, np.maximum(s_sub, 0.0), 0.0)
-        t[idx] = np.where(active, 0.0, np.maximum(t_sub, 0.0))
         newly_done = n_bad == 0
-        done[idx] = newly_done
+        fin = idx[newly_done]
+        active_fin = active[newly_done]
+        s[fin] = np.where(active_fin, np.maximum(s_sub[newly_done], 0.0), 0.0)
+        t[fin] = np.where(active_fin, 0.0, np.maximum(t_sub[newly_done], 0.0))
+        done[fin] = True
 
         pending = ~newly_done
         if pending.any():
@@ -169,8 +185,15 @@ def nonneg_projection_batch(sigma: np.ndarray, v: np.ndarray, max_iter: int | No
                 flip[single] = restricted
             clamped[pid] ^= flip
 
-    # At the solution v - t = -Sigma s, so the objective collapses to -v's.
-    values = -np.sum(v * s, axis=1)
+    # At the solution v - t = -Sigma s, so the objective collapses to -v's,
+    # summed left to right over the coordinates. numpy's own row sum adds a
+    # C-ordered row pairwise and an F-ordered one left to right, so a fixed
+    # order keeps the value independent of how v is laid out in memory.
+    products = v * s
+    values = products[:, 0].copy()
+    for j in range(1, k):
+        values += products[:, j]
+    np.negative(values, out=values)
     np.maximum(values, 0.0, out=values)
 
     if not done.all():

@@ -163,6 +163,7 @@ def shifted_statistic_batch(
     vec: np.ndarray,
     sigma: np.ndarray,
     omit: np.ndarray | None = None,
+    clamped: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluate S(vec_b, sigma_b) across a stack of draws.
 
@@ -173,12 +174,22 @@ def shifted_statistic_batch(
     quadratic-form statistic apply the determinant adjustment to the full
     matrices first (`adjusted_sigma_batch`), and omitted rows and columns are
     deleted after it.
+
+    ``clamped`` is an optional (B, J) boolean array on the full moment grid
+    that carries the quadratic program's clamped sets from one call to the
+    next on the same draws. Its kept columns are read as the solver's first
+    guess; then every kept column is overwritten with the final ``t == 0``
+    and every omitted column with False, so a moment slack in this call
+    never starts clamped in the next. The guess changes the solver's work,
+    not its result.
     """
     batch, j_total = vec.shape
     if omit is None:
         omit = np.zeros(j_total, dtype=bool)
     keep = np.nonzero(~omit)[0]
     if keep.size == 0:
+        if clamped is not None:
+            clamped[:] = False
         return np.zeros(batch)
     if sigma.ndim == 2:
         sigma = np.broadcast_to(sigma, (batch, j_total, j_total))
@@ -188,6 +199,13 @@ def shifted_statistic_batch(
         z = vec[:, keep] / np.sqrt(var)
         return np.sum(np.minimum(z, 0.0) ** 2, axis=1)
 
-    sub = sigma[np.ix_(np.arange(batch), keep, keep)]
-    _, values = nonneg_projection_batch(sub, vec[:, keep])
+    if keep.size == j_total:
+        sub, v = sigma, vec
+    else:
+        sub, v = sigma[np.ix_(np.arange(batch), keep, keep)], vec[:, keep]
+    start = None if clamped is None else clamped[:, keep]
+    t, values = nonneg_projection_batch(sub, v, start=start)
+    if clamped is not None:
+        clamped[:, omit] = False
+        clamped[:, keep] = t == 0.0
     return values

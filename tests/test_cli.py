@@ -74,6 +74,13 @@ class TestCmdTest:
                 main([command, str(path), "--threads", "2"])
             assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("command", ["test", "invert"])
+    def test_negative_seed_is_refused_at_parse_time(self, positive_csv, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(positive_csv), "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["test", str(tmp_path / "nope.csv")]) == 2
 
@@ -338,6 +345,7 @@ class TestCmdSimulate:
             pytest.param(
                 {"run": ["power"], "alternatives": [[True, 0]]}, "'alternatives'", id="alternative-bool"
             ),
+            pytest.param({"seed": -1}, "seed must be a non-negative integer", id="seed-negative"),
         ],
     )
     def test_invalid_config_exits_two_before_replicating(self, tmp_path, capsys, monkeypatch, fields, fragment):

@@ -7,6 +7,7 @@ from scipy.stats import norm
 from cmselect import (
     AsymptoticDraws,
     BootstrapDraws,
+    CorrelationFamily,
     DegenerateColumn,
     DomainError,
     MissingTable,
@@ -16,6 +17,7 @@ from cmselect import (
     StatisticKind,
     TooManyDegenerate,
     run_test,
+    simulate_sample,
     summarize,
     tilt,
     upper_quantile,
@@ -307,6 +309,28 @@ class TestBootstrapCriticalValues:
         assert len(tilts) == 1 and tilt_result is tilts[0]
         _, tilt_result = critical_values(sample, summary, draws, ("GMS", "RSW"), kinds, 0.05, 0.005, schedule)
         assert len(tilts) == 1 and tilt_result is None
+
+    def test_carried_clamped_sets_never_change_a_critical_value(self):
+        # One J=10 sample whose selections differ: GMS keeps moments that CMS
+        # omits, and RSW keeps all ten with positive shifts. Each AQLR call
+        # on the shared draws starts from the previous call's clamped sets.
+        sample = simulate_sample(CorrelationFamily("Neg", 10), (0.0,) * 5 + (0.3,) * 5, 100, substream(1, 0))
+        summary = summarize(sample)
+        counts = bootstrap_counts(substream(1, BOOTSTRAP), sample.n, 1000)
+        procedures = ("GMS", "CMS", "CMS_FC", "RSW")
+        kinds = (StatisticKind.AQLR,)
+        schedule = KappaSchedule.parse("sqrt-log-n")
+        shared, _ = critical_values(
+            sample, summary, BootstrapDraws(sample, summary, counts), procedures, kinds, 0.05, 0.005, schedule
+        )
+        gms, cms = (shared[(proc, StatisticKind.AQLR)].selection.omitted for proc in ("GMS", "CMS"))
+        assert not np.array_equal(gms, cms)
+        for proc in procedures:
+            alone, _ = critical_values(
+                sample, summary, BootstrapDraws(sample, summary, counts), (proc,), kinds, 0.05, 0.005, schedule
+            )
+            key = (proc, StatisticKind.AQLR)
+            assert shared[key].value.hex() == alone[key].value.hex()
 
 
 class TestCms:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -182,6 +183,18 @@ class TestMnrpRun:
             assert np.array_equal(
                 result.cells[key].critical_values, threaded.cells[key].critical_values
             )
+
+    def test_thread_count_does_not_change_j10_aqlr_results(self):
+        config = small_config(
+            J=10, family=CorrelationFamily("Neg", 10), n=100, r_mc=4, b=200,
+            procedures=("GMS", "CMS", "CMS_FC", "RSW"), statistics=(StatisticKind.AQLR,),
+            null_mu=null_patterns(10)[:3],
+        )
+        single = run_mnrp(config)
+        threaded = run_mnrp(dataclasses.replace(config, threads=2))
+        for key, cell in single.cells.items():
+            assert cell.critical_values.tobytes() == threaded.cells[key].critical_values.tobytes()
+            assert cell.statistic_values.tobytes() == threaded.cells[key].statistic_values.tobytes()
 
     def test_statistics_shared_across_procedures(self, result):
         gms = result.cell("GMS", StatisticKind.AQLR)
