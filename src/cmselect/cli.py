@@ -27,6 +27,7 @@ from .harness import (
     run_mnrp,
     run_power,
 )
+from .heap import retain_freed_buffers
 from .moments import CorrelationFamily, load_csv
 from .selection import KappaSchedule
 from .statistics import StatisticKind
@@ -339,6 +340,7 @@ def cmd_simulate(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    retain_freed_buffers()
     try:
         if args.command == "test":
             return cmd_test(args)

@@ -41,6 +41,7 @@ from .critical import (
     upper_quantile,
 )
 from .errors import CmselectError, DomainError, MissingBaseline
+from .heap import retain_freed_buffers
 from .moments import CorrelationFamily, MomentSample, cholesky_factor, make_toeplitz, summarize
 from .selection import KappaSchedule
 from .statistics import StatisticKind, evaluate
@@ -131,6 +132,10 @@ class ExperimentConfig:
         for proc in self.procedures:
             if proc not in PROCEDURES:
                 raise DomainError(f"unknown procedure {proc!r}")
+        for label, names in (("procedure", self.procedures), ("statistic", [k.value for k in self.statistics])):
+            repeated = [name for i, name in enumerate(names) if name in names[:i]]
+            if repeated:
+                raise DomainError(f"{label} {repeated[0]!r} is listed twice")
         if "RMS" in self.procedures and self.rms_tables is None:
             raise DomainError("RMS requires lookup tables; omit it or supply them")
         for mu in self.null_mu:
@@ -254,6 +259,7 @@ def _run_phase(config: ExperimentConfig, patterns, phase: int) -> dict:
     """Execute r_mc replications at every pattern; returns the phase table,
     one (patterns, r_mc) array per key of a `_replicate` row. Replications
     run on ``config.threads`` threads and land in the same cells either way."""
+    retain_freed_buffers()
     chol = cholesky_factor(make_toeplitz(config.family))
     shape = (len(patterns), config.r_mc)
     keys = (*config.statistics, *itertools.product(config.procedures, config.statistics))

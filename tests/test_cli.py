@@ -346,6 +346,12 @@ class TestCmdSimulate:
                 {"run": ["power"], "alternatives": [[True, 0]]}, "'alternatives'", id="alternative-bool"
             ),
             pytest.param({"seed": -1}, "seed must be a non-negative integer", id="seed-negative"),
+            pytest.param(
+                {"procedures": ["GMS", "GMS"]}, "procedure 'GMS' is listed twice", id="procedures-duplicate"
+            ),
+            pytest.param(
+                {"statistics": ["mmm", "mmm"]}, "statistic 'mmm' is listed twice", id="statistics-duplicate"
+            ),
         ],
     )
     def test_invalid_config_exits_two_before_replicating(self, tmp_path, capsys, monkeypatch, fields, fragment):
