@@ -23,7 +23,6 @@ from .errors import (
     CmselectError,
     CsvFormatError,
     DegenerateColumn,
-    DimensionCap,
     DomainError,
     MissingBaseline,
     MissingTable,
@@ -60,7 +59,6 @@ from .selection import (
     phi2,
     phi3,
     phi4,
-    phi5,
     phi_k,
 )
 from .statistics import (

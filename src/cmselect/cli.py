@@ -29,7 +29,7 @@ from .harness import (
 )
 from .heap import retain_freed_buffers
 from .moments import CorrelationFamily, load_csv
-from .selection import KappaSchedule
+from .selection import SELECTIONS, KappaSchedule
 from .statistics import StatisticKind
 
 _MODES = {"asym": MODE_ASYMPTOTIC, "boot": MODE_BOOTSTRAP}
@@ -86,7 +86,7 @@ def _seed(text: str) -> int:
 def _shared_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--statistic", choices=["mmm", "aqlr"], default="aqlr")
     parser.add_argument("--procedure", choices=list(PROCEDURE_ALIASES), default="cms")
-    parser.add_argument("--phi", type=int, choices=[1, 2, 3, 4, 5], default=1)
+    parser.add_argument("--phi", type=int, choices=list(SELECTIONS), default=1)
     parser.add_argument("--kappa", default="sqrt-log-n", help="sqrt-log-n, sqrt-2loglogn, fixed:<v>")
     parser.add_argument("--mode", choices=["asym", "boot"], default="boot")
     parser.add_argument("--alpha", type=float, default=0.05)

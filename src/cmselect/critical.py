@@ -20,8 +20,8 @@ in both modes and the Monte Carlo harness all go through it, so comparisons
 across procedures are paired. `rejects` is the one rejection rule.
 
 GMS, CMS, CMS_FC and RMS select through one formula, `selection_step`'s
-phi_k(phi, xi, Omega) at xi = sqrt(n) m / sqrt(v) / kappa; they differ only
-in the (m, v, Omega, kappa) they read.
+phi_k(phi, xi) at xi = sqrt(n) m / sqrt(v) / kappa; they differ only in the
+(m, v, kappa) they read.
 
 The resampling counts come from one kernel, `bootstrap_counts`, which
 `BootstrapDraws` only consumes. They depend on the sample through its row
@@ -445,25 +445,25 @@ def selection_step(
     rms_tables: RmsTables | None = None,
     tilt_result: TiltResult | None = None,
 ) -> SelectionStep:
-    """Selection step of GMS, CMS, CMS_FC or RMS: phi_k(phi, xi, Omega) at
+    """Selection step of GMS, CMS, CMS_FC or RMS: phi_k(phi, xi) at
     xi = sqrt(n) m / sqrt(v) / kappa, the one formula.
 
-    GMS reads the summary's mean, variances and correlation, with kappa from
-    the schedule. CMS reads the mean of ``tilt_result``, the sample's tilt;
-    CMS_FC also its variances and correlation. Both keep GMS's inputs when
-    the tilt is infeasible, which they flag, or the identity, so that
-    nonnegative means select exactly as GMS does. RMS reads GMS's inputs at
+    GMS reads the summary's mean and variances, with kappa from the
+    schedule. CMS reads the mean of ``tilt_result``, the sample's tilt;
+    CMS_FC also its variances. Both keep GMS's inputs when the tilt is
+    infeasible, which they flag, or the identity, so that nonnegative
+    means select exactly as GMS does. RMS reads GMS's inputs at
     a kappa looked up at the minimum off-diagonal correlation, adds a
     size-correction constant to the quantile, and is disabled (MissingTable)
     without ``rms_tables``, since the numeric tables live outside this
     package.
     """
-    mean, var, omega = summary.mean, summary.var, summary.correlation
+    mean, var = summary.mean, summary.var
     fields: dict = {}
     if procedure == "RMS":
         if rms_tables is None:
             raise MissingTable("RMS needs kappa/eta lookup tables; none were supplied")
-        delta = min_off_diagonal(omega)
+        delta = min_off_diagonal(summary.correlation)
         k = rms_tables.kappa_at(delta)
         if k <= 0:
             raise DomainError("RMS kappa table produced a nonpositive threshold")
@@ -483,12 +483,10 @@ def selection_step(
                     var = np.diag(tilt_result.tilted_cov)
                     if np.any(var <= 0):
                         raise DegenerateColumn(int(np.argmax(var <= 0)))
-                    inv_sd = 1.0 / np.sqrt(var)
-                    omega = tilt_result.tilted_cov * np.outer(inv_sd, inv_sd)
     else:
         raise DomainError(f"procedure {procedure!r} has no selection step")
     xi = np.sqrt(summary.n) * mean / np.sqrt(var) / k
-    return SelectionStep(phi_k(phi, xi, omega), **fields)
+    return SelectionStep(phi_k(phi, xi), **fields)
 
 
 def critical_values(

@@ -33,10 +33,6 @@ class DomainError(CmselectError):
     """An argument lies outside the mathematical domain of the requested operation."""
 
 
-class DimensionCap(CmselectError):
-    """The requested operation is capped at a smaller dimension than supplied."""
-
-
 class MissingTable(CmselectError):
     """A procedure requiring external lookup tables was invoked without them."""
 

@@ -3,24 +3,19 @@
 A selection function maps the per-moment slackness statistic to a vector of
 shifts in [0, +inf]. A +inf shift removes the moment from the critical-value
 computation entirely; finite shifts push the simulated draws upward, making
-the moment matter less. Five variants are provided; the hard threshold
+the moment matter less. Four variants are provided; the hard threshold
 `phi1` is the recommended default.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionCap, DomainError
-from .statistics import ShiftedInput, StatisticKind, aqlr, mmm
-
-# phi5 enumerates all binding patterns, which is exponential in J.
-_PHI5_MAX_J = 20
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -68,9 +63,10 @@ class KappaSchedule:
     value: float = 1.0
 
     def __post_init__(self):
-        # A nonpositive threshold would flip or blow up every selection statistic.
-        if self.kind is KappaKind.FIXED and not self.value > 0:
-            raise DomainError("fixed kappa must be positive")
+        # A nonpositive threshold would flip or blow up every selection
+        # statistic; an infinite one zeroes it, so nothing is ever omitted.
+        if self.kind is KappaKind.FIXED and not 0 < self.value < math.inf:
+            raise DomainError("fixed kappa must be positive and finite")
 
     @classmethod
     def parse(cls, text: str) -> "KappaSchedule":
@@ -136,65 +132,14 @@ def phi4(xi: np.ndarray) -> SelectionVector:
     return SelectionVector(np.asarray(xi, dtype=float).copy(), source="phi4")
 
 
-def phi5(
-    xi: np.ndarray,
-    omega: np.ndarray,
-    kind: StatisticKind = StatisticKind.MMM,
-    penalty=None,
-) -> SelectionVector:
-    """Binding-pattern search: keep the subset minimizing S(-c*xi, Omega) - zeta(|c|).
-
-    Enumerates every pattern c in {0,1}^J; the moment is kept (shift 0) where
-    c_j = 1 and omitted (+inf) where c_j = 0. Ties prefer keeping more
-    moments, then the lexicographically first pattern. ``penalty`` is the
-    increasing function zeta, defaulting to the identity. +inf entries of xi
-    count as zero inside the objective when dropped, per the convention for
-    omitted moments.
-    """
-    xi = np.asarray(xi, dtype=float)
-    j = xi.size
-    if j > _PHI5_MAX_J:
-        raise DimensionCap(f"phi5 enumerates 2^J patterns; J={j} exceeds the cap {_PHI5_MAX_J}")
-    if penalty is None:
-        penalty = float
-    omega = np.asarray(omega, dtype=float)
-
-    best = None
-    for pattern in itertools.product((1, 0), repeat=j):
-        c = np.array(pattern, dtype=float)
-        if np.any((c == 1.0) & np.isposinf(xi)):
-            # Keeping an infinitely slack moment scores +inf, never optimal.
-            continue
-        # c_j = 0 against xi_j = +inf counts as zero, not NaN
-        arg = np.where(c == 1.0, -xi, 0.0)
-        value = _statistic_value(kind, arg, omega)
-        score = value - float(penalty(int(c.sum())))
-        key = (score, -int(c.sum()), pattern)
-        if best is None or key < best[0]:
-            best = (key, c)
-    kept = best[1]
-    return SelectionVector(np.where(kept == 1.0, 0.0, np.inf), source="phi5")
+# The selection functions by number: the one list of the values `phi_k`,
+# `ExperimentConfig.phi` and --phi accept.
+SELECTIONS = {1: phi1, 2: phi2, 3: phi3, 4: phi4}
 
 
-def _statistic_value(kind: StatisticKind, vec: np.ndarray, omega: np.ndarray) -> float:
-    shifted = ShiftedInput(vec, omega)
-    if kind is StatisticKind.MMM:
-        return mmm(shifted)
-    return aqlr(shifted).value
-
-
-def phi_k(k: int, xi: np.ndarray, omega: np.ndarray | None = None) -> SelectionVector:
-    """Dispatch on the selection-function number 1 through 5."""
-    if k == 1:
-        return phi1(xi)
-    if k == 2:
-        return phi2(xi)
-    if k == 3:
-        return phi3(xi)
-    if k == 4:
-        return phi4(xi)
-    if k == 5:
-        if omega is None:
-            raise DomainError("phi5 needs the correlation matrix")
-        return phi5(xi, omega)
-    raise DomainError(f"unknown selection function index {k}")
+def phi_k(k: int, xi: np.ndarray) -> SelectionVector:
+    """Dispatch on the selection-function number, a key of SELECTIONS."""
+    select = SELECTIONS.get(k)
+    if select is None:
+        raise DomainError(f"unknown selection function index {k}")
+    return select(xi)

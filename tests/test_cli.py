@@ -68,11 +68,14 @@ class TestCmdTest:
         code = main(["test", str(path)])
         assert code == 2
         assert "row 2" in capsys.readouterr().err
-        # --threads belongs to simulate only; test and invert refuse it
+        # --threads belongs to simulate only, and --phi takes 1 to 4; test
+        # and invert refuse both
         for command in ("test", "invert"):
-            with pytest.raises(SystemExit) as exit_info:
-                main([command, str(path), "--threads", "2"])
-            assert exit_info.value.code == 2
+            for flag, value in (("--threads", "2"), ("--phi", "5")):
+                with pytest.raises(SystemExit) as exit_info:
+                    main([command, str(path), flag, value])
+                assert exit_info.value.code == 2
+        assert "invalid choice: 5 (choose from 1, 2, 3, 4)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["test", "invert"])
     def test_negative_seed_is_refused_at_parse_time(self, positive_csv, capsys, command):
@@ -338,7 +341,9 @@ class TestCmdSimulate:
                 {"null_patterns": [[0, -math.inf]]}, "only contain 0 and +inf", id="null-pattern-minus-infinity"
             ),
             pytest.param({"n": 1}, "n must be at least 2", id="n-one"),
-            pytest.param({"phi": 7}, "phi must be 1 through 5", id="phi-seven-rsw-only"),
+            pytest.param({"phi": 7}, "phi must be one of 1, 2, 3, 4", id="phi-seven-rsw-only"),
+            pytest.param({"phi": 5}, "phi must be one of 1, 2, 3, 4", id="phi-five-rsw-only"),
+            pytest.param({"kappa": "fixed:inf"}, "fixed kappa must be positive and finite", id="kappa-fixed-inf"),
             pytest.param({"infinity_surrogate": True}, "'infinity_surrogate'", id="infinity-surrogate-bool"),
             pytest.param({"beta": False}, "'beta'", id="beta-bool"),
             pytest.param({"null_patterns": [[False, "inf"]]}, "'null_patterns'", id="null-pattern-bool"),

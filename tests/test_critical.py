@@ -558,25 +558,6 @@ class TestRunTest:
         with pytest.raises(DomainError):
             run_test(sample, StatisticKind.MMM, "rsw", mode=MODE_ASYMPTOTIC)
 
-    @pytest.mark.parametrize("mode", [MODE_BOOTSTRAP, MODE_ASYMPTOTIC])
-    @pytest.mark.parametrize("procedure", ["gms", "cms", "cms-fc"])
-    def test_phi5_selects_what_phi1_selects(self, procedure, mode):
-        """phi5 keeps the set c minimizing MMM(-c*xi, Omega) - |c|. MMM reads
-        only Omega's diagonal, which is one for the correlation matrix phi5
-        receives, so the score is a sum over kept moments of
-        max(xi_j, 0)^2 - 1: each moment is kept iff xi_j <= 1 (ties keep),
-        which is phi1's rule."""
-        sample = normal_sample(100, 4, 64, shift=np.array([-0.2, 0.0, 0.3, 1.0]))
-        decisions = [
-            run_test(sample, StatisticKind.AQLR, procedure, phi=phi, mode=mode, n_draws=300, seed=2)
-            for phi in (1, 5)
-        ]
-        phi1, phi5 = (decision.critical_value for decision in decisions)
-        assert phi5.selection.source == "phi5"
-        assert np.array_equal(phi5.selection.shifts, phi1.selection.shifts)
-        assert 0 < phi5.selection.omitted.sum() < 4
-        assert phi5.value == phi1.value
-
     def test_decision_serializes(self):
         import json
 
