@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DegenerateColumn, DomainError, MissingTable, TooManyDegenerate
 from .moments import MomentSample, MomentSummary, cholesky_factor, summarize, variance_floor
-from .selection import KappaSchedule, SelectionVector, kappa as kappa_value, phi_k
+from .selection import KappaSchedule, SelectionVector, check_phi, kappa as kappa_value, phi_k
 from .statistics import StatisticKind, adjusted_sigma, evaluate, shifted_statistic_batch
 from .streams import ASYMPTOTIC, BOOTSTRAP, substream
 from .tilt import TiltResult, tilt
@@ -208,9 +208,12 @@ class BootstrapDraws(_Draws):
     """Per-replicate resampled summaries, shared across procedures.
 
     Resampling is encoded as multinomial row counts, one row per replicate
-    from `bootstrap_counts`, so means and second moments reduce to two matrix
-    products. The products stay unchunked: BLAS does not promise that a block
-    of rows comes out bitwise equal to the same rows of the whole product.
+    from `bootstrap_counts`, so the means and the J(J+1)/2 distinct second
+    moments come out of one matrix product, which reads the counts once. The
+    product stays unchunked: BLAS does not promise that a block of rows comes
+    out bitwise equal to the same rows of the whole product. The covariances
+    are mirrored into the full J×J block, so they are symmetric by
+    construction, and the per-replicate passes run on flat (B, J²) arrays.
     Replicates in which some column degenerates (zero resampled variance) are
     flagged in ``valid`` and dropped here, so every per-replicate array holds
     the valid replicates only; their count is reported on the resulting
@@ -226,21 +229,35 @@ class BootstrapDraws(_Draws):
         n, j = x.shape
         n_draws = counts.shape[0]
 
-        g_star = counts @ x / n
-        second = counts @ (x[:, :, None] * x[:, None, :]).reshape(n, j * j) / n
-        sigma_star = second.reshape(n_draws, j, j) - g_star[:, :, None] * g_star[:, None, :]
-        sigma_star = 0.5 * (sigma_star + np.swapaxes(sigma_star, 1, 2))
+        upper_i, upper_j = np.triu_indices(j)
+        columns = np.hstack([x, x[:, upper_i] * x[:, upper_j]])
+        # counts @ columns, formed as columns.T @ counts.T: OpenBLAS 0.3.31
+        # runs that orientation faster at large B (12.9 against 16.8 ms at
+        # n=500, J=4, B=10000 on one thread of a 2-vCPU Haswell-class VM), and
+        # both gave equal bytes at (n, J, B) = (250, 4, 1000), (100, 10, 1000)
+        # and (500, 4, 10000).
+        moments = np.divide((columns.T @ counts.T).T, n, order="C")
+        g_star = moments[:, :j]
+        cross = moments[:, j:] - g_star[:, upper_i] * g_star[:, upper_j]
+        # Entry (i, j) of the flat J×J block reads distinct pair (min, max).
+        pair = np.empty((j, j), dtype=np.intp)
+        pair[upper_i, upper_j] = pair[upper_j, upper_i] = np.arange(upper_i.size)
+        sigma_star = np.take(cross, pair.ravel(), axis=1)
 
-        var_star = np.diagonal(sigma_star, axis1=1, axis2=2)
+        var_star = sigma_star[:, :: j + 1]
         valid = np.all(var_star > variance_floor(sample.values, x), axis=1)
         skipped = int(n_draws - valid.sum())
         if skipped > _DEGENERATE_CEILING * n_draws:
             raise TooManyDegenerate(skipped, n_draws)
-        g_star, sigma_star, var_star = g_star[valid], sigma_star[valid], var_star[valid]
+        if skipped:
+            g_star, sigma_star, var_star = g_star[valid], sigma_star[valid], var_star[valid]
 
         sd_star = np.sqrt(var_star)
         inv_sd = 1.0 / sd_star
-        omega_star = sigma_star * inv_sd[:, :, None] * inv_sd[:, None, :]
+        # Entry (i, j) is (S_ij * inv_i) * inv_j: repeat lines up inv_i, tile inv_j.
+        omega_star = sigma_star * np.repeat(inv_sd, j, axis=1)
+        omega_star *= np.tile(inv_sd, j)
+        omega_star = omega_star.reshape(-1, j, j)
         g_recentered_stud = math.sqrt(n) * g_star * inv_sd
 
         self.n_draws = n_draws
@@ -568,6 +585,7 @@ def run_test(
         raise DomainError(f"unknown procedure {procedure!r}")
     if mode not in (MODE_BOOTSTRAP, MODE_ASYMPTOTIC):
         raise DomainError(f"unknown mode {mode!r}")
+    check_phi(phi)
     _check_alpha(alpha)
     if name == "RSW":
         beta = rsw_beta(alpha, beta)

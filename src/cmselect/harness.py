@@ -43,7 +43,7 @@ from .critical import (
 from .errors import CmselectError, DomainError, MissingBaseline
 from .heap import retain_freed_buffers
 from .moments import CorrelationFamily, MomentSample, cholesky_factor, make_toeplitz, summarize
-from .selection import SELECTIONS, KappaSchedule
+from .selection import KappaSchedule, check_phi
 from .statistics import StatisticKind, evaluate
 from .streams import BOOTSTRAP, SAMPLE_DRAW, substream
 
@@ -121,8 +121,7 @@ class ExperimentConfig:
             raise DomainError("seed must be a non-negative integer")
         if not 0.0 < self.infinity_surrogate < math.inf:
             raise DomainError("infinity_surrogate must be positive and finite")
-        if self.phi not in SELECTIONS:
-            raise DomainError(f"phi must be one of {', '.join(map(str, SELECTIONS))}")
+        check_phi(self.phi)
         _check_alpha(self.alpha)
         rsw_beta(self.alpha, self.beta)
         if not self.procedures:

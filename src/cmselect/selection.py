@@ -137,6 +137,17 @@ def phi4(xi: np.ndarray) -> SelectionVector:
 SELECTIONS = {1: phi1, 2: phi2, 3: phi3, 4: phi4}
 
 
+def check_phi(phi) -> None:
+    """Raise DomainError unless ``phi`` is a key of SELECTIONS; an
+    unhashable value is not one."""
+    try:
+        known = phi in SELECTIONS
+    except TypeError:
+        known = False
+    if not known:
+        raise DomainError(f"phi must be one of {', '.join(map(str, SELECTIONS))}")
+
+
 def phi_k(k: int, xi: np.ndarray) -> SelectionVector:
     """Dispatch on the selection-function number, a key of SELECTIONS."""
     select = SELECTIONS.get(k)

@@ -104,16 +104,18 @@ def adjusted_sigma(sigma: np.ndarray) -> np.ndarray:
 
 
 def adjusted_sigma_batch(sigma: np.ndarray) -> np.ndarray:
-    """Batched `adjusted_sigma` for a stack of covariance matrices (B, J, J)."""
-    var = np.diagonal(sigma, axis1=1, axis2=2)
+    """Batched `adjusted_sigma` for a stack of covariance matrices (B, J, J),
+    computed on the flat (B, J²) rows."""
+    batch, k, _ = sigma.shape
+    flat = sigma.reshape(batch, k * k)
+    var = flat[:, :: k + 1]
     inv_sd = 1.0 / np.sqrt(var)
-    corr = sigma * inv_sd[:, :, None] * inv_sd[:, None, :]
-    bump = np.maximum(0.0, ADJUSTMENT_CUTOFF - np.linalg.det(corr))
-    out = sigma.copy()
-    k = sigma.shape[1]
-    idx = np.arange(k)
-    out[:, idx, idx] += bump[:, None] * var
-    return out
+    corr = flat * np.repeat(inv_sd, k, axis=1)
+    corr *= np.tile(inv_sd, k)
+    bump = np.maximum(0.0, ADJUSTMENT_CUTOFF - np.linalg.det(corr.reshape(batch, k, k)))
+    out = flat.copy()
+    out[:, :: k + 1] += bump[:, None] * var
+    return out.reshape(batch, k, k)
 
 
 def mmm(shifted: ShiftedInput, n: int = 1) -> float:
@@ -191,18 +193,16 @@ def shifted_statistic_batch(
         if clamped is not None:
             clamped[:] = False
         return np.zeros(batch)
-    if sigma.ndim == 2:
-        sigma = np.broadcast_to(sigma, (batch, j_total, j_total))
 
     if kind is StatisticKind.MMM:
-        var = np.diagonal(sigma, axis1=1, axis2=2)[:, keep]
+        var = np.diagonal(sigma, axis1=-2, axis2=-1)[..., keep]
         z = vec[:, keep] / np.sqrt(var)
         return np.sum(np.minimum(z, 0.0) ** 2, axis=1)
 
     if keep.size == j_total:
         sub, v = sigma, vec
     else:
-        sub, v = sigma[np.ix_(np.arange(batch), keep, keep)], vec[:, keep]
+        sub, v = sigma[..., keep, :][..., keep], vec[:, keep]
     start = None if clamped is None else clamped[:, keep]
     t, values = nonneg_projection_batch(sub, v, start=start)
     if clamped is not None:

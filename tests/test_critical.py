@@ -207,6 +207,61 @@ class TestBootstrap:
             BootstrapDraws(sample, summarize(sample), bootstrap_counts(substream(1, 1), sample.n, 200))
 
 
+def resample_oracle(sample, counts):
+    """Per replicate, from the rows repeated counts[b] times: the resampled
+    mean minus the sample mean, and the divisor-n covariance."""
+    mean = summarize(sample).mean
+    deviations, covariances = [], []
+    for row_counts in counts.astype(int):
+        resample = np.repeat(sample.values, row_counts, axis=0)
+        deviations.append(resample.mean(axis=0) - mean)
+        covariances.append(np.atleast_2d(np.cov(resample, rowvar=False, bias=True)))
+    return np.array(deviations), np.array(covariances)
+
+
+def assert_draws_match_the_oracle(sample, counts):
+    draws = BootstrapDraws(sample, summarize(sample), counts)
+    deviation, cov = resample_oracle(sample, counts)
+    var = np.diagonal(cov, axis1=1, axis2=2)
+    valid = np.all(var > 1e-9, axis=1)
+    assert np.array_equal(draws.valid, valid)
+    assert draws.skipped == counts.shape[0] - valid.sum()
+    for per_draw in (draws.g_recentered_stud, draws.omega_star, draws.sd_star):
+        assert per_draw.shape[0] == counts.shape[0] - draws.skipped
+    sd = np.sqrt(var[valid])
+    np.testing.assert_allclose(draws.sd_star, sd, rtol=1e-12)
+    np.testing.assert_allclose(
+        draws.g_recentered_stud, np.sqrt(sample.n) * deviation[valid] / sd, rtol=1e-12, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        draws.omega_star, cov[valid] / sd[:, :, None] / sd[:, None, :], rtol=1e-12, atol=1e-12
+    )
+    return draws
+
+
+class TestBootstrapDrawsOracle:
+    @pytest.mark.parametrize("j", [1, 4, 10])
+    def test_matches_explicit_resampling(self, j):
+        rng = np.random.default_rng(40 + j)
+        values = rng.standard_normal((60, j)) @ rng.standard_normal((j, j)) + rng.standard_normal(j)
+        sample = MomentSample(values)
+        draws = assert_draws_match_the_oracle(sample, bootstrap_counts(substream(j, BOOTSTRAP), sample.n, 200))
+        assert draws.skipped == 0
+
+    def test_matches_explicit_resampling_with_degenerate_draws(self):
+        # A 0/1 column with 5 ones in 40 rows: about 0.5% of resamples draw
+        # no one, and that column's resampled variance is zero.
+        rng = np.random.default_rng(44)
+        values = rng.standard_normal((40, 3))
+        values[:, 2] = 0.0
+        values[rng.choice(40, 5, replace=False), 2] = 1.0
+        sample = MomentSample(values)
+        counts = bootstrap_counts(substream(2, BOOTSTRAP), sample.n, 1000)
+        draws = assert_draws_match_the_oracle(sample, counts)
+        assert 0 < draws.skipped <= 10
+        assert not np.any(counts[~draws.valid][:, values[:, 2] == 1.0])
+
+
 # A fixed sample and fixed counts for the location and scale properties: one
 # violated, one nearly binding and one slack moment, correlated.
 _PROPERTY_VALUES = np.random.default_rng(73).standard_normal((80, 3)) @ np.array(
@@ -552,6 +607,13 @@ class TestRunTest:
         for procedure in PROCEDURE_ALIASES:
             with pytest.raises(DomainError, match="unknown mode"):
                 run_test(sample, StatisticKind.MMM, procedure, mode="bogus", n_draws=200)
+
+    @pytest.mark.parametrize("procedure", ["rsw", "gms"])
+    @pytest.mark.parametrize("phi", [5, 0, [1]])
+    def test_phi_outside_the_selections_rejected_for_every_procedure(self, procedure, phi):
+        sample = normal_sample(30, 2, 64, shift=-0.3)
+        with pytest.raises(DomainError, match="phi must be one of 1, 2, 3, 4"):
+            run_test(sample, StatisticKind.MMM, procedure, phi=phi, n_draws=200)
 
     def test_rsw_asymptotic_rejected(self):
         sample = normal_sample(30, 2, 62)

@@ -140,7 +140,7 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match="n must be at least 2"):
             small_config(n=n)
 
-    @pytest.mark.parametrize("phi", [0, 5, 6, 7])
+    @pytest.mark.parametrize("phi", [0, 5, 6, 7, [1]])
     def test_rejects_phi_outside_one_to_four(self, phi):
         with pytest.raises(DomainError, match="phi"):
             small_config(phi=phi)

@@ -69,6 +69,25 @@ class TestAdjustedCovariance:
         expected = sigma + bump * d
         assert np.allclose(adjusted_sigma(sigma), expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("bumped", [True, False])
+    def test_batch_matches_per_matrix(self, bumped):
+        rng = np.random.default_rng(78)
+        j, b = 4, 50
+        factors = rng.standard_normal((b, j, j + 1 if bumped else 8 * j))
+        if bumped:
+            # A dominant common factor pushes every correlation toward one.
+            factors[:, :, 0] = 10.0 * rng.uniform(0.5, 2.0, (b, 1))
+        scales = rng.uniform(0.1, 10.0, (b, j))
+        sigma = factors @ np.swapaxes(factors, 1, 2) * scales[:, :, None] * scales[:, None, :]
+        sd = np.sqrt(np.diagonal(sigma, axis1=1, axis2=2))
+        det = np.linalg.det(sigma / sd[:, :, None] / sd[:, None, :])
+        assert np.all(det < 0.012) if bumped else np.all(det > 0.012)
+        batch = adjusted_sigma_batch(sigma)
+        for i in range(b):
+            expected = adjusted_sigma(sigma[i])
+            np.testing.assert_allclose(batch[i], expected, rtol=1e-12, atol=0.0)
+            assert np.array_equal(batch[i], sigma[i]) != bumped
+
 
 class TestAqlr:
     def test_one_dimensional_grid_oracle(self):
@@ -201,3 +220,8 @@ def test_batch_matches_scalar_evaluation():
             else:
                 expected = mmm(ShiftedInput(full, sigma[i]))
             assert batch[i] == pytest.approx(expected, rel=1e-10, abs=1e-10)
+        # One (J, J) matrix serves every draw exactly as its broadcast stack.
+        shared = np.broadcast_to(supplied[0], supplied.shape)
+        assert np.array_equal(
+            shifted_statistic_batch(kind, vec, supplied[0], omit), shifted_statistic_batch(kind, vec, shared, omit)
+        )
