@@ -13,6 +13,7 @@ to the unbiased divisor, so summaries are computed locally instead of through
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,38 +187,25 @@ def cholesky_factor(matrix: np.ndarray) -> np.ndarray:
 def load_csv(path) -> MomentSample:
     """Read a moment sample from CSV: n rows by J numeric columns.
 
-    An optional single header row is skipped when its cells do not parse as
-    numbers. Parse failures report the offending row and column (1-based,
-    counting the header).
+    The file is read as UTF-8; a leading byte-order mark is dropped. Blank
+    lines are skipped. Line 1 is a header, and skipped, when none of its
+    non-blank cells parses as a number; otherwise it is data like any other
+    row. Parse failures and non-finite values report the offending row and
+    column (1-based, counting the header).
     """
     rows: list[list[float]] = []
     width: int | None = None
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         for lineno, record in enumerate(reader, start=1):
-            if not record or all(cell.strip() == "" for cell in record):
-                continue
-            parsed: list[float] = []
-            for colno, cell in enumerate(record, start=1):
-                text = cell.strip()
-                try:
-                    value = float(text)
-                except ValueError:
-                    if lineno == 1 and not rows:
-                        parsed = []
-                        break
-                    raise CsvFormatError(
-                        f"could not parse {text!r} at row {lineno}, column {colno}",
-                        row=lineno,
-                        column=colno,
-                    )
-                if not np.isfinite(value):
-                    raise CsvFormatError(
-                        f"non-finite value at row {lineno}, column {colno}",
-                        row=lineno,
-                        column=colno,
-                    )
-                parsed.append(value)
+            try:
+                parsed = [float(cell) for cell in record]
+            except ValueError:
+                parsed = None
+            if parsed is None or not all(map(math.isfinite, parsed)):
+                # Only a row that fails the one-call conversion comes here:
+                # blank, the header, or the cell to report.
+                parsed = _parse_record(record, lineno)
             if not parsed:
                 continue
             if width is None:
@@ -231,3 +219,40 @@ def load_csv(path) -> MomentSample:
     if width is None or len(rows) < 2:
         raise CsvFormatError("need at least 2 data rows")
     return MomentSample(np.array(rows, dtype=float))
+
+
+def _parse_record(record: list[str], lineno: int) -> list[float]:
+    """Cell-by-cell parse of a CSV record: [] for a blank record or the
+    header, otherwise CsvFormatError at the first unparsable or non-finite
+    cell."""
+    texts = [cell.strip() for cell in record]
+    if all(text == "" for text in texts):
+        return []
+    if lineno == 1 and not any(_parses(text) for text in texts if text):
+        return []
+    parsed: list[float] = []
+    for colno, text in enumerate(texts, start=1):
+        try:
+            value = float(text)
+        except ValueError:
+            raise CsvFormatError(
+                f"could not parse {text!r} at row {lineno}, column {colno}",
+                row=lineno,
+                column=colno,
+            )
+        if not math.isfinite(value):
+            raise CsvFormatError(
+                f"non-finite value at row {lineno}, column {colno}",
+                row=lineno,
+                column=colno,
+            )
+        parsed.append(value)
+    return parsed
+
+
+def _parses(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True

@@ -223,6 +223,8 @@ class TestCmdInvert:
                 seeded_counts.cache_clear()
                 fresh = run_test(load_csv(path), StatisticKind.AQLR, "cms", n_draws=draws, seed=5)
                 assert entry["critical_value"] == fresh.critical_value.value
+                assert entry["statistic"] == fresh.statistic
+                assert entry["reject"] == fresh.reject
 
     def test_duplicate_ids_rejected(self, tmp_path):
         [path] = self.make_grid(tmp_path, [1.0])

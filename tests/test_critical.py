@@ -180,6 +180,7 @@ class TestBootstrap:
         assert counts.dtype == reference.dtype
         assert np.array_equal(counts, reference)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert counts.flags.f_contiguous
 
     def test_counts_need_a_hundred_draws(self):
         with pytest.raises(DomainError):
@@ -189,6 +190,25 @@ class TestBootstrap:
         counts = seeded_counts(3, 20, 100)
         assert not counts.flags.writeable
         assert np.array_equal(counts, bootstrap_counts(substream(3, BOOTSTRAP), 20, 100))
+        assert counts.flags.f_contiguous
+        assert not counts.T.flags.writeable
+        with pytest.raises(ValueError):
+            counts[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n, n_draws, j", [(250, 1000, 4), (100, 1000, 10), (500, 10000, 4)])
+    def test_draws_do_not_depend_on_the_counts_layout(self, n, n_draws, j):
+        # The column-major counts make counts.T C-contiguous for the
+        # resampling product; the row-major copy must give the same bytes.
+        sample = normal_sample(n, j, 60 + j, shift=0.1)
+        summary = summarize(sample)
+        counts = bootstrap_counts(substream(12, BOOTSTRAP), n, n_draws)
+        row_major = np.ascontiguousarray(counts)
+        assert row_major.flags.c_contiguous and not row_major.flags.f_contiguous
+        a = BootstrapDraws(sample, summary, counts)
+        b = BootstrapDraws(sample, summary, row_major)
+        del row_major
+        for name in ("g_recentered_stud", "omega_star", "sd_star", "_omega_adjusted"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_constant_column_is_degenerate_in_both_modes(self):
         # A constant -0.1 column has an inexact mean; its rounding noise must

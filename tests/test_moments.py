@@ -181,3 +181,64 @@ class TestCsv:
         path.write_text("1.0\ninf\n")
         with pytest.raises(CsvFormatError):
             load_csv(path)
+
+    @pytest.mark.parametrize(
+        "first_line, column, text",
+        [
+            pytest.param("1.5,2.5,", 3, "", id="trailing-comma"),
+            pytest.param("1.5,abc", 2, "abc", id="unparsable-cell"),
+        ],
+    )
+    def test_line_one_with_a_number_is_data(self, tmp_path, first_line, column, text):
+        # Line 1 is a header only when none of its non-blank cells parses, so
+        # a broken first data row is reported like any other row.
+        path = tmp_path / "first.csv"
+        path.write_text(first_line + "\n1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(CsvFormatError) as exc:
+            load_csv(path)
+        assert (exc.value.row, exc.value.column) == (1, column)
+        assert str(exc.value) == f"could not parse {text!r} at row 1, column {column}"
+
+    @pytest.mark.parametrize("header", ["g1,g2", "g1,", " g1 , g2 "])
+    def test_header_without_numbers_is_skipped(self, tmp_path, header):
+        path = tmp_path / "header.csv"
+        path.write_text(header + "\n1.5,2.0\n-0.5,3.25\n")
+        assert load_csv(path).values.tolist() == [[1.5, 2.0], [-0.5, 3.25]]
+
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeff1.5,2.0\n-0.5,3.25\n0.0,-1.0\n".encode("utf-8"))
+        assert load_csv(path).values.tolist() == [[1.5, 2.0], [-0.5, 3.25], [0.0, -1.0]]
+
+    def test_whitespace_padded_cells(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text(" 1.5 ,\t2.0\n-0.5 , 3.25\t\n")
+        assert load_csv(path).values.tolist() == [[1.5, 2.0], [-0.5, 3.25]]
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("g1,g2\n\n1.5,2.0\n , \n\n-0.5,3.25\n,\n")
+        assert load_csv(path).values.tolist() == [[1.5, 2.0], [-0.5, 3.25]]
+
+    def test_underscored_digits_read_as_python_floats(self, tmp_path):
+        path = tmp_path / "underscore.csv"
+        path.write_text("1_000,2.0\n3.0,4.0\n")
+        assert load_csv(path).values.tolist() == [[1000.0, 2.0], [3.0, 4.0]]
+
+    def test_first_bad_row_is_reported(self, tmp_path):
+        # A non-finite cell on row 3 is reported before an unparsable one on
+        # row 4; within a row, the first bad cell.
+        path = tmp_path / "bad_rows.csv"
+        path.write_text("1.0,2.0\n3.0,4.0\n5.0,nan\noops,6.0\n")
+        with pytest.raises(CsvFormatError) as exc:
+            load_csv(path)
+        assert (exc.value.row, exc.value.column) == (3, 2)
+        assert str(exc.value) == "non-finite value at row 3, column 2"
+
+    def test_ragged_row_message(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("g1,g2\n1.0,2.0\n3.0\n")
+        with pytest.raises(CsvFormatError) as exc:
+            load_csv(path)
+        assert exc.value.row == 3
+        assert str(exc.value) == "row 3 has 1 columns, expected 2"
