@@ -190,14 +190,17 @@ def load_csv(path) -> MomentSample:
     The file is read as UTF-8; a leading byte-order mark is dropped. Blank
     lines are skipped. Line 1 is a header, and skipped, when none of its
     non-blank cells parses as a number; otherwise it is data like any other
-    row. Parse failures and non-finite values report the offending row and
-    column (1-based, counting the header).
+    row. Parse failures, non-finite values and ragged rows report the
+    offending row and column (1-based); the row is the file line on which the
+    record starts, so a quoted cell that spans lines does not shift it.
     """
     rows: list[list[float]] = []
     width: int | None = None
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        for lineno, record in enumerate(reader, start=1):
+        end = 0  # the file line on which the previous record ended
+        for record in reader:
+            lineno, end = end + 1, reader.line_num
             try:
                 parsed = [float(cell) for cell in record]
             except ValueError:

@@ -3,30 +3,30 @@
 Solves min_{t >= 0} (v - t)' W (v - t) with W symmetric positive definite.
 Two implementations share this module:
 
-* `nonneg_projection` is a textbook primal active-set method with a Cholesky
-  refactorization of the free block at every working-set change. It is the
-  reference solver behind the public statistic evaluation, exact at the
-  dimensions this package targets (J up to a few hundred).
-
 * `nonneg_projection_batch` solves a stack of independent instances
-  simultaneously, which the critical-value simulations need: one instance per
-  simulation or bootstrap draw. It pivots on the complementarity system in
-  Sigma = W^(-1) directly (block principal pivoting, Judice & Pires 1994,
-  with a Murty single-pivot fallback), so no inverse is ever formed, and is
-  tested to agree with the reference solver to tight tolerance. Each
-  instance's result is the masked K-by-K solve of the round that certifies
-  its final clamped set, so it depends on that set alone: a caller that
-  knows a likely clamped set (the previous solve on the same draws) passes
-  it as ``start`` and saves rounds without changing a byte.
+  simultaneously: the statistic on data (a batch of one) and the
+  critical-value simulations (one instance per simulation or bootstrap
+  draw). It pivots on the complementarity system in Sigma = W^(-1) directly
+  (block principal pivoting, Judice & Pires 1994, with a Murty single-pivot
+  fallback), so no inverse is ever formed. Each instance's result is the
+  masked K-by-K solve of the round that certifies its final clamped set, so
+  it depends on that set alone: a caller that knows a likely clamped set
+  (the previous solve on the same draws) passes it as ``start`` and saves
+  rounds without changing a byte.
+
+* `nonneg_projection` is a textbook primal active-set method in W that
+  re-solves the free block at every working-set change. It is the batch
+  solver's fallback for an instance that pivoting cannot finish, and the
+  oracle the batch solver is tested against.
 
 Both return the optimal point and value; KKT conditions of the returned point
-are checkable by the caller (the gradient is 2 W (t - v)).
+are checkable by the caller (the gradient is 2 W (t - v)). The module needs
+numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import QPNoConvergence, SingularCovariance
 
@@ -39,9 +39,9 @@ _FULL_EXCHANGE_PATIENCE = 3
 def nonneg_projection(w: np.ndarray, v: np.ndarray, max_iter: int | None = None):
     """Minimize (v - t)' W (v - t) over t >= 0.
 
-    Returns (t, value). Raises SingularCovariance if a free-block Cholesky
-    fails and QPNoConvergence past the iteration cap (default 50 per
-    dimension).
+    Returns (t, value). Raises SingularCovariance if the free block is not
+    positive definite (its Cholesky factorization fails) and QPNoConvergence
+    past the iteration cap (default 50 per dimension).
     """
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -62,11 +62,12 @@ def nonneg_projection(w: np.ndarray, v: np.ndarray, max_iter: int | None = None)
         free = ~working
         t_eqp = np.zeros(k)
         if free.any():
+            block = w[np.ix_(free, free)]
             try:
-                factor = cho_factor(w[np.ix_(free, free)])
+                np.linalg.cholesky(block)
+                t_eqp[free] = np.linalg.solve(block, q[free])
             except np.linalg.LinAlgError:
                 raise SingularCovariance("free block of the QP is not positive definite")
-            t_eqp[free] = cho_solve(factor, q[free])
 
         step = t_eqp - t
         if np.max(np.abs(step)) <= _KKT_TOL * (1.0 + np.max(np.abs(t))):

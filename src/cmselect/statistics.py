@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateColumn
+from .errors import DegenerateColumn, SingularCovariance
 from .moments import MomentSummary
-from .qp import inverse_spd, nonneg_projection, nonneg_projection_batch
+from .qp import nonneg_projection_batch
 
 # The quadratic-form statistic shrinks toward the diagonal when the
 # correlation determinant falls below this constant.
@@ -136,20 +136,35 @@ def mmm(shifted: ShiftedInput, n: int = 1) -> float:
 def aqlr(shifted: ShiftedInput, n: int = 1) -> AqlrResult:
     """Quadratic-form distance from the vector to the nonnegative orthant.
 
+    The value is n times min_{t >= 0} (v - t)' Sigma^(-1) (v - t).
     ``shifted.sigma`` is used as supplied; callers evaluating on data apply
     `adjust_covariance` first. Omitted coordinates are deleted from the vector
-    and from the matrix before the program is solved.
+    and from the matrix, and the kept block must be positive definite (its
+    Cholesky factorization is the check; SingularCovariance otherwise).
+
+    The program is solved as a batch of one by `nonneg_projection_batch`,
+    which pivots on Sigma itself, so no inverse is formed. It is solved on
+    the studentized pair (D^(-1) v, D^(-1) Sigma D^(-1)), D the standard
+    deviations, which has the same value and the minimizer D^(-1) t: the
+    critical-value draws reach the solver in that scale too, and the solver's
+    tolerances then do not depend on the units of the data.
     """
     keep = shifted.kept
     j_total = shifted.vec.size
     if keep.size == 0:
         return AqlrResult(0.0, np.zeros(j_total))
     sub = shifted.sigma[np.ix_(keep, keep)]
-    w = inverse_spd(sub)
-    t_sub, value = nonneg_projection(w, shifted.vec[keep])
+    try:
+        np.linalg.cholesky(sub)
+    except np.linalg.LinAlgError:
+        raise SingularCovariance("covariance sub-block is not positive definite")
+    sd = np.sqrt(np.diag(sub))
+    inv_sd = 1.0 / sd
+    corr = sub * np.outer(inv_sd, inv_sd)
+    t_stud, values = nonneg_projection_batch(corr[None], (shifted.vec[keep] * inv_sd)[None])
     minimizer = np.zeros(j_total)
-    minimizer[keep] = t_sub
-    return AqlrResult(float(n * value), minimizer)
+    minimizer[keep] = t_stud[0] * sd
+    return AqlrResult(float(n * values[0]), minimizer)
 
 
 def evaluate(kind: StatisticKind, summary: MomentSummary) -> float:

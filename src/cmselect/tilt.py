@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import NoConvergence
 from .moments import MomentSample
@@ -91,6 +90,10 @@ def feasible(sample: MomentSample) -> bool:
 
 
 def _phase_one(g: np.ndarray) -> bool:
+    # Imported here: the LP runs only to classify a diverging dual solve, so
+    # the common path never loads scipy.
+    from scipy.optimize import linprog
+
     n, j = g.shape
     # Variables (p_1..p_n): maximize 0 subject to sum p = 1, p >= 0, g'p >= 0.
     result = linprog(

@@ -235,6 +235,22 @@ class TestCsv:
         assert (exc.value.row, exc.value.column) == (3, 2)
         assert str(exc.value) == "non-finite value at row 3, column 2"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # The quoted cell on lines 1-2 is one record; the bad cell is on line 4.
+            pytest.param('"1.0\n",2\n3,4\n5,x\n', "could not parse 'x' at row 4, column 2", id="unparsable"),
+            # The ragged record starts on line 5, after a cell spanning lines 2-4.
+            pytest.param('1,2\n"3\n\n",4\n5,"6\n",7\n', "row 5 has 3 columns, expected 2", id="ragged"),
+        ],
+    )
+    def test_rows_are_file_lines_after_a_multiline_cell(self, tmp_path, text, message):
+        path = tmp_path / "multiline.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value) == message
+
     def test_ragged_row_message(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("g1,g2\n1.0,2.0\n3.0\n")

@@ -62,6 +62,14 @@ def test_singular_matrix_reported():
         inverse_spd(singular)
 
 
+def test_indefinite_free_block_reported():
+    # The free block [[1, 2], [2, 1]] is invertible but not positive
+    # definite, so the reference solver's Cholesky check rejects it.
+    w = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(SingularCovariance):
+        nonneg_projection(w, np.array([1.0, 1.0, -1.0]))
+
+
 def test_empty_problem():
     t, value = nonneg_projection(np.zeros((0, 0)), np.zeros(0))
     assert value == 0.0

@@ -13,6 +13,8 @@ from cmselect import (
     mmm,
     summarize,
 )
+from cmselect.errors import SingularCovariance
+from cmselect.qp import inverse_spd, nonneg_projection
 from cmselect.statistics import adjusted_sigma, adjusted_sigma_batch, shifted_statistic_batch
 
 
@@ -225,3 +227,69 @@ def test_batch_matches_scalar_evaluation():
         assert np.array_equal(
             shifted_statistic_batch(kind, vec, supplied[0], omit), shifted_statistic_batch(kind, vec, shared, omit)
         )
+
+
+@pytest.mark.parametrize("seed", [186, 47])
+def test_aqlr_invariant_to_a_slack_column_offset(seed):
+    # Column 3 is slack (mean 3); adding 1e9 to it makes its studentized mean
+    # ~1e10. An explicit inverse of Sigma lost ~5% of T to that entry.
+    values = np.random.default_rng(seed).standard_normal((200, 3)) + np.array([-0.15, 0.05, 3.0])
+    base = evaluate(StatisticKind.AQLR, summarize(MomentSample(values)))
+    shifted = values.copy()
+    shifted[:, 2] += 1e9
+    moved = evaluate(StatisticKind.AQLR, summarize(MomentSample(shifted)))
+    assert base > 0
+    assert moved == pytest.approx(base, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [75, 10])
+@pytest.mark.parametrize("scale", [1e3, 1e4, 1e5])
+def test_aqlr_on_data_is_free_of_the_units(seed, scale):
+    # Correlated columns, two of them binding: the first guess of the clamped
+    # set clamps a coordinate whose multiplier is negative. Unstudentized, the
+    # batch solver's tolerance grows with the data's units while the
+    # multipliers shrink, and at 1e5 it accepted that set (T off by 160%).
+    mix = np.array([[1.0, 0.0, 0.0], [0.8, 0.6, 0.0], [0.5, -0.5, 0.7]])
+    values = np.random.default_rng(seed).standard_normal((200, 3)) @ mix.T + np.array([-0.15, -0.05, 0.05])
+    base = evaluate(StatisticKind.AQLR, summarize(MomentSample(values)))
+    assert base > 0
+    scaled = evaluate(StatisticKind.AQLR, summarize(MomentSample(values * scale)))
+    assert scaled == pytest.approx(base, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        pytest.param([[1.0, 2.0], [2.0, 1.0]], id="indefinite"),
+        pytest.param([[1.0, 1.0], [1.0, 1.0]], id="singular"),
+    ],
+)
+def test_aqlr_rejects_a_covariance_that_is_not_positive_definite(sigma):
+    # With the indefinite matrix the program is unbounded below, yet the
+    # clamped set {1, 2} passes the pivoting's KKT test (s = (1/3, 1/3)).
+    with pytest.raises(SingularCovariance):
+        aqlr(ShiftedInput(np.array([-1.0, -1.0]), np.array(sigma)))
+    # An omitted moment's row and column are not part of the check.
+    padded = np.eye(3)
+    padded[:2, :2] = sigma
+    with pytest.raises(SingularCovariance):
+        aqlr(ShiftedInput(np.array([-1.0, -1.0, 0.5]), padded))
+    assert aqlr(ShiftedInput(np.array([-1.0, np.inf, 0.5]), padded)).value == pytest.approx(1.0)
+
+
+def test_aqlr_agrees_with_the_reference_solver():
+    # aqlr pivots on Sigma; the reference active-set method works in
+    # W = Sigma^(-1). Omitted moments are deleted before either solves.
+    rng = np.random.default_rng(2024)
+    for k in range(1, 11):
+        for _ in range(40):
+            j = k + int(rng.integers(0, 3))
+            sigma = random_spd(rng, j, spread=float(rng.uniform(0.3, 2.0)))
+            vec = rng.standard_normal(j) * 2
+            kept = np.sort(rng.choice(j, size=k, replace=False))
+            vec[np.setdiff1d(np.arange(j), kept)] = np.inf
+            result = aqlr(ShiftedInput(vec, sigma), n=7)
+            t_ref, value_ref = nonneg_projection(inverse_spd(sigma[np.ix_(kept, kept)]), vec[kept])
+            assert result.value == pytest.approx(7 * value_ref, rel=1e-10, abs=1e-10)
+            assert np.allclose(result.minimizer[kept], t_ref, rtol=1e-10, atol=1e-10)
+            assert np.all(np.delete(result.minimizer, kept) == 0.0)
