@@ -61,15 +61,7 @@ from .selection import (
     phi4,
     phi_k,
 )
-from .statistics import (
-    AqlrResult,
-    ShiftedInput,
-    StatisticKind,
-    adjust_covariance,
-    aqlr,
-    evaluate,
-    mmm,
-)
+from .statistics import StatisticKind, evaluate
 from .tilt import TiltResult, feasible, tilt
 
 __version__ = "0.1.0"

@@ -137,7 +137,9 @@ def nonneg_projection_batch(
     s = np.zeros_like(t)
     stalled = np.zeros(batch, dtype=int)
     prev_violations = np.full(batch, k + 1, dtype=int)
-    tol = _KKT_TOL * (1.0 + np.abs(v).max(axis=1, keepdims=True))
+    # Each coordinate's KKT test is relative to its own |v_j|, so one very
+    # slack coordinate cannot loosen the test on the others.
+    tol = _KKT_TOL * (1.0 + np.abs(v))
 
     for _ in range(max_iter):
         if done.all():
@@ -155,7 +157,7 @@ def nonneg_projection_batch(
             s_sub = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             # Some instance's clamped block is singular.
-            raise SingularCovariance("QP free block is numerically singular")
+            raise SingularCovariance("QP clamped block is numerically singular")
         t_sub = v_sub + np.matmul(sig_sub, s_sub[:, :, None])[:, :, 0]
 
         tol_sub = tol[idx]

@@ -1,19 +1,20 @@
 """The two moment-inequality test statistics and their shifted forms.
 
 Both statistics are functions S(g, Sigma) that are nonincreasing in g, scale
-invariant, nonnegative, and homogeneous of degree two. On data they are
-evaluated at g = sqrt(n) * mean with Sigma the divisor-n covariance; inside
-critical-value simulation they are evaluated at shifted draws with Sigma a
-correlation-scale matrix. Entries of g equal to +inf mark moments omitted
-from the computation: they contribute zero to the sum statistic and are
-deleted (row and column) before the quadratic-form statistic is solved, which
-reproduces the limit of sending the entry to infinity.
+invariant, nonnegative, and homogeneous of degree two. One kernel,
+`shifted_statistic_batch`, evaluates S on a stack of vectors: inside
+critical-value simulation at shifted draws with Sigma a correlation-scale
+matrix, and on data (through `evaluate`, the entry point there) as a batch of
+one at g = sqrt(n) * mean with Sigma the divisor-n covariance. A boolean
+``omit`` mask marks the moments omitted from the computation: they contribute
+zero to the sum statistic and are deleted (row and column) before the
+quadratic-form statistic is solved, which reproduces the limit of sending the
+entry to infinity.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,64 +34,13 @@ class StatisticKind(enum.Enum):
     AQLR = "aqlr"
 
 
-@dataclass(frozen=True)
-class ShiftedInput:
-    """Argument pair (vector, scale matrix) for a statistic evaluation.
-
-    ``vec`` may contain +inf entries, which mark omitted moments. ``sigma``
-    must be symmetric on the non-omitted block.
-    """
-
-    vec: np.ndarray
-    sigma: np.ndarray
-    omitted: frozenset = field(init=False)
-
-    def __post_init__(self):
-        vec = np.asarray(self.vec, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        if vec.ndim != 1 or sigma.shape != (vec.size, vec.size):
-            raise ValueError("vec must be length J and sigma J-by-J")
-        if np.any(np.isnan(vec)) or np.any(np.isneginf(vec)):
-            raise ValueError("vec entries must be finite or +inf")
-        omitted = frozenset(int(j) for j in np.nonzero(np.isposinf(vec))[0])
-        keep = [j for j in range(vec.size) if j not in omitted]
-        if keep:
-            block = sigma[np.ix_(keep, keep)]
-            denom = max(1.0, float(np.abs(block).max()))
-            if np.abs(block - block.T).max() > 1e-10 * denom:
-                raise ValueError("sigma is not symmetric on the kept block")
-        object.__setattr__(self, "vec", vec)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "omitted", omitted)
-
-    @property
-    def kept(self) -> np.ndarray:
-        return np.array([j for j in range(self.vec.size) if j not in self.omitted], dtype=int)
-
-
-@dataclass(frozen=True)
-class AqlrResult:
-    """Optimal value of the quadratic program and its minimizer.
-
-    ``minimizer`` is reported on the full J grid with zeros in omitted slots.
-    """
-
-    value: float
-    minimizer: np.ndarray
-
-
-def adjust_covariance(summary: MomentSummary) -> np.ndarray:
+def adjusted_sigma(sigma: np.ndarray) -> np.ndarray:
     """Diagonal-inflated covariance used by the quadratic-form statistic.
 
     Adds max(0, 0.012 - det(correlation)) times the variance diagonal, which
     leaves well-conditioned covariances untouched and regularizes
     near-singular ones.
     """
-    return adjusted_sigma(summary.covariance)
-
-
-def adjusted_sigma(sigma: np.ndarray) -> np.ndarray:
-    """Apply the determinant-cutoff adjustment to a raw covariance matrix."""
     sigma = np.asarray(sigma, dtype=float)
     var = np.diag(sigma)
     if np.any(var <= 0):
@@ -118,61 +68,32 @@ def adjusted_sigma_batch(sigma: np.ndarray) -> np.ndarray:
     return out.reshape(batch, k, k)
 
 
-def mmm(shifted: ShiftedInput, n: int = 1) -> float:
-    """Sum of squared negative parts of the studentized vector, scaled by n.
-
-    Omitted coordinates contribute zero.
-    """
-    keep = shifted.kept
-    if keep.size == 0:
-        return 0.0
-    var = np.diag(shifted.sigma)[keep]
-    if np.any(var <= 0):
-        raise DegenerateColumn(int(keep[np.argmin(var)]))
-    z = shifted.vec[keep] / np.sqrt(var)
-    return float(n * np.sum(np.minimum(z, 0.0) ** 2))
-
-
-def aqlr(shifted: ShiftedInput, n: int = 1) -> AqlrResult:
-    """Quadratic-form distance from the vector to the nonnegative orthant.
-
-    The value is n times min_{t >= 0} (v - t)' Sigma^(-1) (v - t).
-    ``shifted.sigma`` is used as supplied; callers evaluating on data apply
-    `adjust_covariance` first. Omitted coordinates are deleted from the vector
-    and from the matrix, and the kept block must be positive definite (its
-    Cholesky factorization is the check; SingularCovariance otherwise).
-
-    The program is solved as a batch of one by `nonneg_projection_batch`,
-    which pivots on Sigma itself, so no inverse is formed. It is solved on
-    the studentized pair (D^(-1) v, D^(-1) Sigma D^(-1)), D the standard
-    deviations, which has the same value and the minimizer D^(-1) t: the
-    critical-value draws reach the solver in that scale too, and the solver's
-    tolerances then do not depend on the units of the data.
-    """
-    keep = shifted.kept
-    j_total = shifted.vec.size
-    if keep.size == 0:
-        return AqlrResult(0.0, np.zeros(j_total))
-    sub = shifted.sigma[np.ix_(keep, keep)]
-    try:
-        np.linalg.cholesky(sub)
-    except np.linalg.LinAlgError:
-        raise SingularCovariance("covariance sub-block is not positive definite")
-    sd = np.sqrt(np.diag(sub))
-    inv_sd = 1.0 / sd
-    corr = sub * np.outer(inv_sd, inv_sd)
-    t_stud, values = nonneg_projection_batch(corr[None], (shifted.vec[keep] * inv_sd)[None])
-    minimizer = np.zeros(j_total)
-    minimizer[keep] = t_stud[0] * sd
-    return AqlrResult(float(n * values[0]), minimizer)
-
-
 def evaluate(kind: StatisticKind, summary: MomentSummary) -> float:
-    """Evaluate a statistic on data: S(sqrt(n) mean, covariance)."""
-    if kind is StatisticKind.MMM:
-        return mmm(ShiftedInput(summary.mean, summary.covariance), summary.n)
-    sigma = adjust_covariance(summary)
-    return aqlr(ShiftedInput(summary.mean, sigma), summary.n).value
+    """Evaluate a statistic on data: S(sqrt(n) mean, covariance).
+
+    By degree-two homogeneity this is n S(mean, covariance), read through
+    `shifted_statistic_batch` as a batch of one with no moment omitted; a
+    column with no variance raises DegenerateColumn. For the quadratic-form
+    statistic the covariance is first adjusted (`adjusted_sigma`), must be
+    positive definite (its Cholesky factorization is the check;
+    SingularCovariance otherwise), and is studentized: the pair
+    (D^(-1) mean, D^(-1) Sigma D^(-1)), D the standard deviations, has the
+    same value and reaches the solver in the scale of the critical-value
+    draws, so the solver's tolerances do not depend on the units of the data.
+    """
+    vec, sigma = summary.mean, summary.covariance
+    var = np.diag(sigma)
+    if np.any(var <= 0):
+        raise DegenerateColumn(int(np.argmin(var)))
+    if kind is StatisticKind.AQLR:
+        sigma = adjusted_sigma(sigma)
+        try:
+            np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            raise SingularCovariance("covariance is not positive definite")
+        inv_sd = 1.0 / np.sqrt(np.diag(sigma))
+        vec, sigma = vec * inv_sd, sigma * np.outer(inv_sd, inv_sd)
+    return float(summary.n * shifted_statistic_batch(kind, vec[None], sigma)[0])
 
 
 def shifted_statistic_batch(
@@ -187,10 +108,10 @@ def shifted_statistic_batch(
     ``vec`` has shape (B, J) with finite entries; ``omit`` is a length-J
     boolean mask of omitted moments shared by every draw (the selection is
     computed from the data, not per draw). ``sigma`` is (B, J, J) or (J, J)
-    and is used as supplied, like the scalar `aqlr`: callers of the
-    quadratic-form statistic apply the determinant adjustment to the full
-    matrices first (`adjusted_sigma_batch`), and omitted rows and columns are
-    deleted after it.
+    and is used as supplied: callers of the quadratic-form statistic apply
+    the determinant adjustment to the full matrices first (`adjusted_sigma`
+    or `adjusted_sigma_batch`), and omitted rows and columns are deleted
+    after it.
 
     ``clamped`` is an optional (B, J) boolean array on the full moment grid
     that carries the quadratic program's clamped sets from one call to the

@@ -16,18 +16,16 @@ from cmselect import (
     ExperimentConfig,
     MomentSample,
     SelectionVector,
-    ShiftedInput,
     StatisticKind,
-    aqlr,
     corrections_from,
-    mmm,
     run_mnrp,
     run_power,
     summarize,
     tilt,
     upper_quantile,
 )
-from cmselect.qp import inverse_spd
+from cmselect.qp import inverse_spd, nonneg_projection_batch
+from cmselect.statistics import shifted_statistic_batch
 from cmselect.streams import ASYMPTOTIC, substream
 from oracles import pairwise_polish, simplex_grid_maximize, slsqp_candidate
 
@@ -189,10 +187,7 @@ def test_criterion_5_rsw_diagnostics(power_study):
 
 
 def _statistic(kind, vec, sigma):
-    shifted = ShiftedInput(vec, sigma)
-    if kind is StatisticKind.MMM:
-        return mmm(shifted)
-    return aqlr(shifted).value
+    return shifted_statistic_batch(kind, vec[None], sigma)[0]
 
 
 def _random_instance(rng):
@@ -225,9 +220,9 @@ def test_criterion_6a_statistic_properties():
         assert base >= 0.0
         assert (base > 0) == bool(np.any(v < 0))
 
-        result = aqlr(ShiftedInput(v, sigma))
-        grad = 2 * inverse_spd(sigma) @ (result.minimizer - v)
-        active = result.minimizer <= 1e-12
+        t = nonneg_projection_batch(sigma, v[None])[0][0]
+        grad = 2 * inverse_spd(sigma) @ (t - v)
+        active = t <= 1e-12
         kkt = max(
             float(np.max(-grad[active], initial=0.0)),
             float(np.max(np.abs(grad[~active]), initial=0.0)),

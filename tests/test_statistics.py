@@ -3,18 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmselect import (
-    MomentSample,
-    ShiftedInput,
-    StatisticKind,
-    adjust_covariance,
-    aqlr,
-    evaluate,
-    mmm,
-    summarize,
-)
-from cmselect.errors import SingularCovariance
-from cmselect.qp import inverse_spd, nonneg_projection
+from cmselect import MomentSample, MomentSummary, StatisticKind, evaluate, summarize
+from cmselect.errors import DegenerateColumn, SingularCovariance
+from cmselect.qp import inverse_spd, nonneg_projection, nonneg_projection_batch
 from cmselect.statistics import adjusted_sigma, adjusted_sigma_batch, shifted_statistic_batch
 
 
@@ -23,27 +14,38 @@ def random_spd(rng, j, spread=1.0):
     return a @ a.T + j * np.eye(j)
 
 
+def _statistic(kind, vec, sigma, omit=None, clamped=None):
+    """S(vec, sigma) through the one statistic kernel, as a batch of one."""
+    return shifted_statistic_batch(kind, np.asarray(vec, dtype=float)[None], sigma, omit, clamped)[0]
+
+
+def _mmm_closed_form(vec, sigma, kept):
+    z = vec[kept] / np.sqrt(np.diag(sigma)[kept])
+    return float(np.sum(np.minimum(z, 0.0) ** 2))
+
+
 class TestMmm:
     def test_direct_formula(self):
-        assert mmm(ShiftedInput(np.array([-1.0, 2.0]), np.eye(2)), n=4) == pytest.approx(4.0)
+        # n = 4 enters as sqrt(n) on the vector.
+        assert _statistic(StatisticKind.MMM, 2.0 * np.array([-1.0, 2.0]), np.eye(2)) == pytest.approx(4.0)
 
     def test_nonnegative_vector_gives_zero(self):
-        assert mmm(ShiftedInput(np.array([0.0, 3.0, 0.1]), np.eye(3)), n=7) == 0.0
+        assert _statistic(StatisticKind.MMM, np.array([0.0, 3.0, 0.1]), np.eye(3)) == 0.0
 
     def test_omitted_coordinate_contributes_zero(self):
-        value = mmm(ShiftedInput(np.array([np.inf, -0.5]), np.eye(2)), n=100)
+        value = _statistic(StatisticKind.MMM, np.array([-3.0, -5.0]), np.eye(2), np.array([True, False]))
         assert value == pytest.approx(25.0)
 
     def test_studentizes_by_sigma_diagonal(self):
         sigma = np.diag([4.0, 1.0])
-        assert mmm(ShiftedInput(np.array([-1.0, 1.0]), sigma), n=1) == pytest.approx(0.25)
+        assert _statistic(StatisticKind.MMM, np.array([-1.0, 1.0]), sigma) == pytest.approx(0.25)
 
 
 class TestAdjustedCovariance:
     def test_identity_correlation_untouched(self):
         sample = MomentSample(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
         summary = summarize(sample)
-        assert np.array_equal(adjust_covariance(summary), summary.covariance)
+        assert np.array_equal(adjusted_sigma(summary.covariance), summary.covariance)
 
     def test_near_singular_hand_value(self):
         sigma = np.array([[1.0, 0.998], [0.998, 1.0]])
@@ -97,42 +99,50 @@ class TestAqlr:
         v, n = -0.5, 100
         grid = np.arange(0.0, 5.0, 1e-4)
         oracle = n * np.min((v - grid) ** 2)
-        result = aqlr(ShiftedInput(np.array([v]), np.eye(1)), n=n)
-        assert result.value == pytest.approx(oracle, abs=1e-8)
-        assert result.value == pytest.approx(25.0)
-        assert result.minimizer[0] == 0.0
+        clamped = np.zeros((1, 1), dtype=bool)
+        value = _statistic(StatisticKind.AQLR, np.array([np.sqrt(n) * v]), np.eye(1), clamped=clamped)
+        assert value == pytest.approx(oracle, abs=1e-8)
+        assert value == pytest.approx(25.0)
+        assert clamped[0, 0]
 
     def test_two_dimensional_diagonal_case(self):
         v = np.array([-0.3, 0.4])
-        result = aqlr(ShiftedInput(v, np.eye(2)), n=100)
-        assert result.value == pytest.approx(9.0)
-        assert np.allclose(result.minimizer, [0.0, 0.4])
+        clamped = np.zeros((1, 2), dtype=bool)
+        value = _statistic(StatisticKind.AQLR, 10.0 * v, np.eye(2), clamped=clamped)
+        assert value == pytest.approx(9.0)
+        assert clamped[0].tolist() == [True, False]
         # cross-check against a 2-D grid
         ts = np.arange(0.0, 1.0, 1e-3)
         t1, t2 = np.meshgrid(ts, ts, indexing="ij")
         oracle = 100 * np.min((v[0] - t1) ** 2 + (v[1] - t2) ** 2)
-        assert result.value == pytest.approx(oracle, abs=1e-3)
+        assert value == pytest.approx(oracle, abs=1e-3)
 
     def test_interior_feasible_point_gives_zero(self):
         v = np.array([0.2, 1.5, 0.0])
-        result = aqlr(ShiftedInput(v, random_spd(np.random.default_rng(0), 3)), n=9)
-        assert result.value == 0.0
-        assert np.allclose(result.minimizer, v)
+        clamped = np.ones((1, 3), dtype=bool)
+        sigma = random_spd(np.random.default_rng(0), 3)
+        assert _statistic(StatisticKind.AQLR, 3.0 * v, sigma, clamped=clamped) == 0.0
+        # The minimizer is the vector itself: zero only where it is zero.
+        assert clamped[0].tolist() == [False, False, True]
 
     def test_all_omitted_gives_zero(self):
-        result = aqlr(ShiftedInput(np.array([np.inf, np.inf]), np.eye(2)), n=50)
-        assert result.value == 0.0
+        value = _statistic(StatisticKind.AQLR, np.array([-1.0, -2.0]), np.eye(2), np.array([True, True]))
+        assert value == 0.0
 
     def test_kkt_of_minimizer(self):
+        # The kernel's value is the objective at the batch solver's minimizer,
+        # and that minimizer satisfies the KKT conditions in W = Sigma^(-1).
         rng = np.random.default_rng(123)
         for _ in range(200):
             j = int(rng.integers(1, 7))
             sigma = random_spd(rng, j)
             v = rng.standard_normal(j) * 2
-            result = aqlr(ShiftedInput(v, sigma), n=1)
+            t = nonneg_projection_batch(sigma, v[None])[0][0]
             w = np.linalg.inv(sigma)
-            grad = 2 * w @ (result.minimizer - v)
-            active = result.minimizer <= 1e-12
+            value = _statistic(StatisticKind.AQLR, v, sigma)
+            assert value == pytest.approx((v - t) @ w @ (v - t), rel=1e-10, abs=1e-12)
+            grad = 2 * w @ (t - v)
+            active = t <= 1e-12
             assert np.all(grad[active] >= -1e-8)
             assert np.all(np.abs(grad[~active]) <= 1e-8)
 
@@ -152,12 +162,12 @@ class TestEvaluate:
         assert evaluate(StatisticKind.MMM, summary) == pytest.approx(25.0)
         assert evaluate(StatisticKind.AQLR, summary) == pytest.approx(25.0)
 
-
-def _statistic(kind, vec, sigma):
-    shifted = ShiftedInput(vec, sigma)
-    if kind is StatisticKind.MMM:
-        return mmm(shifted)
-    return aqlr(shifted).value
+    @pytest.mark.parametrize("kind", list(StatisticKind))
+    def test_zero_variance_column_rejected(self, kind):
+        cov = np.diag([1.0, 0.0])
+        summary = MomentSummary(np.array([-0.5, 0.0]), cov, np.diag(cov), np.eye(2), 50)
+        with pytest.raises(DegenerateColumn):
+            evaluate(kind, summary)
 
 
 @st.composite
@@ -212,15 +222,18 @@ def test_batch_matches_scalar_evaluation():
     sigma = np.stack([random_spd(rng, j) for _ in range(b)])
     vec = rng.standard_normal((b, j)) * 1.5
     omit = np.array([False, True, False, False])
+    kept = np.nonzero(~omit)[0]
     for kind in StatisticKind:
         supplied = adjusted_sigma_batch(sigma) if kind is StatisticKind.AQLR else sigma
         batch = shifted_statistic_batch(kind, vec, supplied, omit)
         for i in range(b):
-            full = np.where(omit, np.inf, vec[i])
+            # Independent oracles on the kept columns: the closed form, and
+            # the reference active-set solver in W = Sigma^(-1).
             if kind is StatisticKind.AQLR:
-                expected = aqlr(ShiftedInput(full, adjusted_sigma(sigma[i]))).value
+                block = adjusted_sigma(sigma[i])[np.ix_(kept, kept)]
+                expected = nonneg_projection(inverse_spd(block), vec[i, kept])[1]
             else:
-                expected = mmm(ShiftedInput(full, sigma[i]))
+                expected = _mmm_closed_form(vec[i], sigma[i], kept)
             assert batch[i] == pytest.approx(expected, rel=1e-10, abs=1e-10)
         # One (J, J) matrix serves every draw exactly as its broadcast stack.
         shared = np.broadcast_to(supplied[0], supplied.shape)
@@ -229,10 +242,12 @@ def test_batch_matches_scalar_evaluation():
         )
 
 
-@pytest.mark.parametrize("seed", [186, 47])
+@pytest.mark.parametrize("seed", [186, 47, 125, 183])
 def test_aqlr_invariant_to_a_slack_column_offset(seed):
     # Column 3 is slack (mean 3); adding 1e9 to it makes its studentized mean
-    # ~1e10. An explicit inverse of Sigma lost ~5% of T to that entry.
+    # ~1e10. An explicit inverse of Sigma lost ~5% of T to that entry (seeds
+    # 186, 47); a KKT tolerance taken over the whole vector, ~0.1 here,
+    # accepted a wrong clamped set (seeds 125, 183).
     values = np.random.default_rng(seed).standard_normal((200, 3)) + np.array([-0.15, 0.05, 3.0])
     base = evaluate(StatisticKind.AQLR, summarize(MomentSample(values)))
     shifted = values.copy()
@@ -257,28 +272,20 @@ def test_aqlr_on_data_is_free_of_the_units(seed, scale):
     assert scaled == pytest.approx(base, rel=1e-10)
 
 
-@pytest.mark.parametrize(
-    "sigma",
-    [
-        pytest.param([[1.0, 2.0], [2.0, 1.0]], id="indefinite"),
-        pytest.param([[1.0, 1.0], [1.0, 1.0]], id="singular"),
-    ],
-)
-def test_aqlr_rejects_a_covariance_that_is_not_positive_definite(sigma):
-    # With the indefinite matrix the program is unbounded below, yet the
-    # clamped set {1, 2} passes the pivoting's KKT test (s = (1/3, 1/3)).
+def test_aqlr_rejects_a_covariance_that_is_not_positive_definite():
+    # Unit diagonal, off-diagonals 1.5: eigenvalues 4, -0.5, -0.5, so the
+    # determinant is 1, above the cutoff, and nothing is adjusted. The program
+    # is unbounded below, yet a clamped set passes the pivoting's KKT test.
+    cov = np.full((3, 3), 1.5)
+    np.fill_diagonal(cov, 1.0)
+    assert np.array_equal(adjusted_sigma(cov), cov)
+    summary = MomentSummary(np.array([-0.1, -0.1, 0.2]), cov, np.ones(3), cov.copy(), 100)
     with pytest.raises(SingularCovariance):
-        aqlr(ShiftedInput(np.array([-1.0, -1.0]), np.array(sigma)))
-    # An omitted moment's row and column are not part of the check.
-    padded = np.eye(3)
-    padded[:2, :2] = sigma
-    with pytest.raises(SingularCovariance):
-        aqlr(ShiftedInput(np.array([-1.0, -1.0, 0.5]), padded))
-    assert aqlr(ShiftedInput(np.array([-1.0, np.inf, 0.5]), padded)).value == pytest.approx(1.0)
+        evaluate(StatisticKind.AQLR, summary)
 
 
 def test_aqlr_agrees_with_the_reference_solver():
-    # aqlr pivots on Sigma; the reference active-set method works in
+    # The kernel pivots on Sigma; the reference active-set method works in
     # W = Sigma^(-1). Omitted moments are deleted before either solves.
     rng = np.random.default_rng(2024)
     for k in range(1, 11):
@@ -287,9 +294,11 @@ def test_aqlr_agrees_with_the_reference_solver():
             sigma = random_spd(rng, j, spread=float(rng.uniform(0.3, 2.0)))
             vec = rng.standard_normal(j) * 2
             kept = np.sort(rng.choice(j, size=k, replace=False))
-            vec[np.setdiff1d(np.arange(j), kept)] = np.inf
-            result = aqlr(ShiftedInput(vec, sigma), n=7)
+            omit = np.ones(j, dtype=bool)
+            omit[kept] = False
+            clamped = np.zeros((1, j), dtype=bool)
+            value = _statistic(StatisticKind.AQLR, vec, sigma, omit, clamped)
             t_ref, value_ref = nonneg_projection(inverse_spd(sigma[np.ix_(kept, kept)]), vec[kept])
-            assert result.value == pytest.approx(7 * value_ref, rel=1e-10, abs=1e-10)
-            assert np.allclose(result.minimizer[kept], t_ref, rtol=1e-10, atol=1e-10)
-            assert np.all(np.delete(result.minimizer, kept) == 0.0)
+            assert value == pytest.approx(value_ref, rel=1e-10, abs=1e-10)
+            assert clamped[0, kept].tolist() == (t_ref == 0.0).tolist()
+            assert not clamped[0, omit].any()
