@@ -160,6 +160,8 @@ def _grid_points(args) -> list:
                 raise CmselectError("grid manifest needs columns theta_id,path")
             base = Path(args.grid).parent
             for row in reader:
+                if row["path"] is None:
+                    raise CmselectError(f"grid manifest line {reader.line_num}: no path cell")
                 points.append((row["theta_id"], str(base / row["path"])))
     for path in args.points:
         points.append((Path(path).stem, path))

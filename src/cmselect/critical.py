@@ -30,7 +30,9 @@ count alone, so `run_test` on its seeded stream reads them from
 invert` builds them once per grid instead of once per point. The cache
 holds one draws-by-n float64 array, 40 MB at n=500 and 10000 draws, stored
 column-major so that ``counts.T``, the resampling product's operand, is
-C-contiguous (see `bootstrap_counts`).
+C-contiguous (see `bootstrap_counts`). For the same reason the Monte Carlo
+harness draws one set per replication and resamples every mean pattern
+with it.
 """
 
 from __future__ import annotations

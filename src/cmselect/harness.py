@@ -13,9 +13,12 @@ two-step baseline's, making the power comparison fair.
 
 Within one replication every procedure and statistic consumes the same sample
 and the same bootstrap draws, so cross-procedure comparisons are paired.
-Replications draw from substreams derived from (seed, phase, pattern,
-replication), which makes results byte-identical regardless of how the work
-is scheduled across threads.
+Every pattern's replication r resamples with the same multinomial counts,
+drawn once from substream (seed, phase, r, BOOTSTRAP): common random numbers
+across the patterns of a sweep. Each sample comes from its own substream
+(seed, phase, pattern, r, SAMPLE_DRAW), so a statistic value does not depend
+on the pattern set. Results are byte-identical regardless of how the
+replications are scheduled across threads.
 """
 
 from __future__ import annotations
@@ -215,38 +218,50 @@ def simulate_sample(
 # ---------------------------------------------------------------------------
 
 
-def _replicate(config: ExperimentConfig, chol, mu, phase: int, pattern_idx: int, rep_idx: int) -> dict:
-    """Run every configured procedure and statistic on one synthetic sample.
+def _replicate(config: ExperimentConfig, chol, patterns, phase: int, rep_idx: int) -> list:
+    """Run every configured procedure and statistic on replication ``rep_idx``
+    of every pattern.
 
-    Returns one row of the phase table: {kind: T, (procedure, kind): c,
-    "tilt_infeasible", "rsw_first", "rsw_keep_all"}, with every c read by
-    `critical_values` off the replication's one set of draws. A
-    failure is re-raised with the replication coordinates attached.
+    The replication draws its resampling counts once, from substream (seed,
+    phase, replication, BOOTSTRAP), and every pattern resamples with them:
+    common random numbers across the patterns. Each pattern's sample comes
+    from its own substream (seed, phase, pattern, replication, SAMPLE_DRAW),
+    so a statistic value does not depend on which other patterns run.
+
+    Returns one row of the phase table per pattern: {kind: T, (procedure,
+    kind): c, "tilt_infeasible", "rsw_first", "rsw_keep_all"}, with every c
+    read by `critical_values` off the pattern's one set of draws. A failure
+    is re-raised with the replication, and the pattern where there is one,
+    attached.
     """
+    pattern_idx = None
     try:
-        rng_sample = substream(config.seed, phase, pattern_idx, rep_idx, SAMPLE_DRAW)
-        sample = simulate_sample(
-            config.family, mu, config.n, rng_sample, config.infinity_surrogate, chol=chol
-        )
-        summary = summarize(sample)
-        rng_boot = substream(config.seed, phase, pattern_idx, rep_idx, BOOTSTRAP)
-        draws = BootstrapDraws(sample, summary, bootstrap_counts(rng_boot, sample.n, config.b))
+        rng_boot = substream(config.seed, phase, rep_idx, BOOTSTRAP)
+        counts = bootstrap_counts(rng_boot, config.n, config.b)
+        rows = []
+        for pattern_idx, mu in enumerate(patterns):
+            rng_sample = substream(config.seed, phase, pattern_idx, rep_idx, SAMPLE_DRAW)
+            sample = simulate_sample(
+                config.family, mu, config.n, rng_sample, config.infinity_surrogate, chol=chol
+            )
+            summary = summarize(sample)
+            draws = BootstrapDraws(sample, summary, counts)
 
-        row = {kind: evaluate(kind, summary) for kind in config.statistics}
-        reports, tilt_result = critical_values(
-            sample, summary, draws, config.procedures, config.statistics, config.alpha,
-            config.beta_value, config.kappa, config.phi, config.rms_tables,
-        )
-        row.update((key, report.value) for key, report in reports.items())
-        rsw = next((r.supplementary for (proc, _), r in reports.items() if proc == "RSW"), {})
-        row["tilt_infeasible"] = tilt_result is not None and not tilt_result.solved
-        row["rsw_first"] = rsw.get("first_stage", False)
-        row["rsw_keep_all"] = rsw.get("no_omission", False)
-        return row
+            row = {kind: evaluate(kind, summary) for kind in config.statistics}
+            reports, tilt_result = critical_values(
+                sample, summary, draws, config.procedures, config.statistics, config.alpha,
+                config.beta_value, config.kappa, config.phi, config.rms_tables,
+            )
+            row.update((key, report.value) for key, report in reports.items())
+            rsw = next((r.supplementary for (proc, _), r in reports.items() if proc == "RSW"), {})
+            row["tilt_infeasible"] = tilt_result is not None and not tilt_result.solved
+            row["rsw_first"] = rsw.get("first_stage", False)
+            row["rsw_keep_all"] = rsw.get("no_omission", False)
+            rows.append(row)
+        return rows
     except Exception as err:
-        raise CmselectError(
-            f"replication failed at pattern {pattern_idx}, replication {rep_idx}: {err}"
-        ) from err
+        where = f"replication {rep_idx}" if pattern_idx is None else f"pattern {pattern_idx}, replication {rep_idx}"
+        raise CmselectError(f"replication failed at {where}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +270,13 @@ def _replicate(config: ExperimentConfig, chol, mu, phase: int, pattern_idx: int,
 
 
 def _run_phase(config: ExperimentConfig, patterns, phase: int) -> dict:
-    """Execute r_mc replications at every pattern; returns the phase table,
-    one (patterns, r_mc) array per key of a `_replicate` row. Replications
-    run on ``config.threads`` threads and land in the same cells either way."""
+    """Execute r_mc replications of every pattern; returns the phase table,
+    one (patterns, r_mc) array per key of a `_replicate` row.
+
+    The work is split by replication: each task runs one replication of
+    every pattern on that replication's one set of resampling counts, so one
+    counts array is alive per thread. Tasks run on ``config.threads`` threads
+    and land in the same cells either way."""
     retain_freed_buffers()
     chol = cholesky_factor(make_toeplitz(config.family))
     shape = (len(patterns), config.r_mc)
@@ -265,17 +284,16 @@ def _run_phase(config: ExperimentConfig, patterns, phase: int) -> dict:
     table = {key: np.empty(shape) for key in keys}
     table.update((flag, np.empty(shape, dtype=bool)) for flag in ("tilt_infeasible", "rsw_first", "rsw_keep_all"))
 
-    tasks = [(p, r) for p in range(shape[0]) for r in range(shape[1])]
-
-    def run_one(task):
-        p, r = task
-        return _replicate(config, chol, patterns[p], phase, p, r)
+    def run_one(rep_idx):
+        return _replicate(config, chol, patterns, phase, rep_idx)
 
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        rows = pool.map(run_one, tasks) if config.threads > 1 else map(run_one, tasks)
-        for (p, r), row in zip(tasks, rows):
-            for key, value in row.items():
-                table[key][p, r] = value
+        reps = range(config.r_mc)
+        results = pool.map(run_one, reps) if config.threads > 1 else map(run_one, reps)
+        for r, rows in zip(reps, results):
+            for p, row in enumerate(rows):
+                for key, value in row.items():
+                    table[key][p, r] = value
     return table
 
 

@@ -2,8 +2,10 @@
 
 Every source of randomness in the package flows from a single master seed.
 Independent substreams are derived from (seed, path) pairs, where the path is
-a tuple of small integers identifying the consumer (experiment phase, mean
-pattern, replication, purpose). Derivation is by `numpy.random.SeedSequence`
+a tuple of small integers identifying the consumer. The harness draws each
+sample from (phase, mean pattern, replication, SAMPLE_DRAW) and each
+replication's resampling counts, shared by all its patterns, from (phase,
+replication, BOOTSTRAP). Derivation is by `numpy.random.SeedSequence`
 with the path as the spawn key, so streams are independent of each other and
 of the order in which they are created. Work split across threads therefore
 produces the same draws as a sequential run.

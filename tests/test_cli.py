@@ -174,6 +174,13 @@ class TestCmdInvert:
         assert code == 0
         assert [p["theta_id"] for p in payload["points"]] == ["a", "b"]
 
+    def test_manifest_row_without_a_path_cell_exits_two(self, tmp_path, capsys):
+        [path] = self.make_grid(tmp_path, [1.0])
+        manifest = tmp_path / "grid.csv"
+        manifest.write_text("theta_id,path\na,{}\nt0\n".format(path.split("/")[-1]))
+        assert main(["invert", "--grid", str(manifest), "--draws", "200"]) == 2
+        assert capsys.readouterr().err == "error: grid manifest line 3: no path cell\n"
+
     def test_mismatched_width_aborts(self, tmp_path, capsys):
         path_a = tmp_path / "a.csv"
         write_sample(path_a, np.ones((5, 2)))

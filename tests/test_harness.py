@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cmselect import (
+    CmselectError,
     CorrelationFamily,
     DomainError,
     ExperimentConfig,
@@ -279,6 +280,90 @@ class TestPowerRun:
         assert np.array_equal(retained, cell.critical_values)
 
 
+def _power_config(**overrides):
+    return small_config(alternative_mu=((-1.0, 1.0), (1.0, 1.0)), **overrides)
+
+
+class TestResamplingCounts:
+    """Every pattern of a replication resamples with the replication's one
+    set of counts, drawn once per replication and phase."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        import cmselect.harness
+
+        events = []
+        draw_counts, build_draws = cmselect.harness.bootstrap_counts, cmselect.harness.BootstrapDraws
+
+        def recording_counts(*args):
+            counts = draw_counts(*args)
+            events.append(("counts", counts))
+            return counts
+
+        def recording_draws(sample, summary, counts):
+            events.append(("draws", counts))
+            return build_draws(sample, summary, counts)
+
+        monkeypatch.setattr(cmselect.harness, "bootstrap_counts", recording_counts)
+        monkeypatch.setattr(cmselect.harness, "BootstrapDraws", recording_draws)
+        return events
+
+    def test_one_counts_draw_per_replication_shared_by_every_pattern(self, events):
+        config = small_config(r_mc=4, b=100)
+        result = run_mnrp(config)
+        patterns = len(result.patterns)
+        assert patterns == 3
+        assert [kind for kind, _ in events] == (["counts"] + ["draws"] * patterns) * config.r_mc
+        for rep in range(config.r_mc):
+            (_, counts), *per_pattern = events[rep * (patterns + 1) : (rep + 1) * (patterns + 1)]
+            assert all(used is counts for _, used in per_pattern)
+        drawn = [counts for kind, counts in events if kind == "counts"]
+        assert not any(np.array_equal(drawn[0], other) for other in drawn[1:])
+
+    def test_power_run_draws_counts_once_per_replication(self, events):
+        config = _power_config(r_mc=3, b=100, procedures=("GMS", "RSW"))
+        corrections = {("GMS", "mmm"): 0.0, ("GMS", "aqlr"): 0.0}
+        run_power(config, corrections)
+        assert sum(kind == "counts" for kind, _ in events) == config.r_mc
+        assert sum(kind == "draws" for kind, _ in events) == 2 * config.r_mc
+
+    def test_failed_counts_draw_names_the_replication(self, monkeypatch):
+        import cmselect.harness
+
+        def failing_counts(*args):
+            raise MemoryError("no room for the counts")
+
+        monkeypatch.setattr(cmselect.harness, "bootstrap_counts", failing_counts)
+        with pytest.raises(CmselectError, match=r"^replication failed at replication 0: no room"):
+            run_mnrp(small_config(r_mc=2, b=100))
+
+
+@pytest.fixture(scope="module", params=[1, 4, 5], ids=lambda r_mc: f"r_mc={r_mc}")
+def single_threaded(request):
+    config = _power_config(r_mc=request.param, b=100)
+    mnrp = run_mnrp(config)
+    return config, (mnrp, run_power(config, corrections_from(mnrp)))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_thread_count_gives_equal_bytes(single_threaded, threads):
+    # r_mc = 4 and 5 are not multiples of every thread count.
+    reference_config, references = single_threaded
+    config = dataclasses.replace(reference_config, threads=threads)
+    mnrp = run_mnrp(config)
+    runs = (mnrp, run_power(config, corrections_from(mnrp)))
+    for reference, run in zip(references, runs):
+        assert run.cells.keys() == reference.cells.keys()
+        for key, cell in run.cells.items():
+            expected = reference.cells[key]
+            for name in ("statistic_values", "critical_values", "rejections", "rates", "standard_errors"):
+                assert getattr(cell, name).tobytes() == getattr(expected, name).tobytes(), (key, name)
+            assert (cell.mnrp, cell.mnrp_pattern, cell.correction) == (
+                expected.mnrp, expected.mnrp_pattern, expected.correction
+            )
+        assert json.dumps(run.diagnostics) == json.dumps(reference.diagnostics)
+
+
 class TestOtherProcedures:
     def test_fully_constrained_variant_runs(self):
         config = small_config(procedures=("GMS", "CMS", "CMS_FC"), r_mc=40)
@@ -342,7 +427,10 @@ class TestReplay:
             assert result.cell("CMS", kind).critical_values[0, 12] != (
                 result.cell("GMS", kind).critical_values[0, 12]
             )
-        for pattern_idx, rep_idx in ((1, 7), (0, 12)):
+        # (1, 12) replays a second pattern of replication 12 on the same
+        # counts stream: the replication's patterns resample with one set of
+        # counts.
+        for pattern_idx, rep_idx in ((1, 7), (0, 12), (1, 12)):
             self.replay(tmp_path, result, tables, chol, pattern_idx, rep_idx)
 
     def replay(self, tmp_path, result, tables, chol, pattern_idx, rep_idx):
@@ -379,7 +467,7 @@ class TestReplay:
                     alpha=config.alpha,
                     n_draws=config.b,
                     rms_tables=tables,
-                    rng=substream(config.seed, PHASE_NULL, pattern_idx, rep_idx, BOOTSTRAP),
+                    rng=substream(config.seed, PHASE_NULL, rep_idx, BOOTSTRAP),
                 )
                 cell = result.cell(proc, kind)
                 assert decision.statistic == cell.statistic_values[pattern_idx, rep_idx]
