@@ -162,6 +162,9 @@ def _grid_points(args) -> list:
             for row in reader:
                 if row["path"] is None:
                     raise CmselectError(f"grid manifest line {reader.line_num}: no path cell")
+                if None in row:
+                    extra = ",".join(row[None])
+                    raise CmselectError(f"grid manifest line {reader.line_num}: extra cells {extra!r}")
                 points.append((row["theta_id"], str(base / row["path"])))
     for path in args.points:
         points.append((Path(path).stem, path))

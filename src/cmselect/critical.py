@@ -131,15 +131,19 @@ def _jsonable(value):
 
 
 def upper_quantile(draws: np.ndarray, level: float) -> float:
-    """Order statistic at index ceil(level * m): inf{x : F_hat(x) >= level}."""
+    """Order statistic at index ceil(level * m): inf{x : F_hat(x) >= level}.
+
+    A partial sort places the k-th smallest draw, the value a full sort
+    would put there, without ordering the rest.
+    """
     if not 0.0 < level <= 1.0:
         raise DomainError("quantile level must be in (0, 1]")
-    draws = np.sort(np.asarray(draws, dtype=float))
+    draws = np.asarray(draws, dtype=float)
     m = draws.size
     if m == 0:
         raise DomainError("cannot take a quantile of zero draws")
     k = min(m, max(1, math.ceil(level * m)))
-    return float(draws[k - 1])
+    return float(np.partition(draws, k - 1)[k - 1])
 
 
 def _check_alpha(alpha: float):
@@ -215,13 +219,17 @@ class BootstrapDraws(_Draws):
     from `bootstrap_counts`, so the means and the J(J+1)/2 distinct second
     moments come out of one matrix product, which reads the counts once. The
     product stays unchunked: BLAS does not promise that a block of rows comes
-    out bitwise equal to the same rows of the whole product. The covariances
-    are mirrored into the full J×J block, so they are symmetric by
-    construction, and the per-replicate passes run on flat (B, J²) arrays.
+    out bitwise equal to the same rows of the whole product. It is kept as
+    it comes out, moment-major: one contiguous length-B row per moment or
+    moment pair, so every per-replicate pass runs over long rows rather than
+    over B short ones. The covariances are mirrored into the full J×J block.
     Replicates in which some column degenerates (zero resampled variance) are
     flagged in ``valid`` and dropped here, so every per-replicate array holds
     the valid replicates only; their count is reported on the resulting
-    critical values.
+    critical values. The public arrays stay replicate-major and C-contiguous,
+    each made by one transposing copy rather than left a strided view: numpy
+    sums a C-ordered row pairwise and an F-ordered one left to right, so the
+    layout a consumer reads can decide its bytes.
     """
 
     mode = MODE_BOOTSTRAP
@@ -241,39 +249,43 @@ class BootstrapDraws(_Draws):
         # both gave equal bytes at (n, J, B) = (250, 4, 1000), (100, 10, 1000)
         # and (500, 4, 10000). The counts are column-major, so counts.T is
         # packed without a transposing copy.
-        moments = np.divide((columns.T @ counts.T).T, n, order="C")
-        g_star = moments[:, :j]
-        cross = moments[:, j:] - g_star[:, upper_i] * g_star[:, upper_j]
-        # Entry (i, j) of the flat J×J block reads distinct pair (min, max).
+        moments = columns.T @ counts.T
+        moments /= n
+        g_star, cross = moments[:j], moments[j:]
+        cross -= g_star[upper_i] * g_star[upper_j]
+        # Row (a, b) of the J×J block reads distinct pair (min, max).
         pair = np.empty((j, j), dtype=np.intp)
         pair[upper_i, upper_j] = pair[upper_j, upper_i] = np.arange(upper_i.size)
-        sigma_star = np.take(cross, pair.ravel(), axis=1)
 
-        var_star = sigma_star[:, :: j + 1]
-        valid = np.all(var_star > variance_floor(sample.values, x), axis=1)
-        skipped = int(n_draws - valid.sum())
+        var_star = cross[np.diagonal(pair)]
+        floor = variance_floor(sample.values, x)
+        valid = np.logical_and.reduce(var_star > floor[:, None], axis=0)
+        skipped = int(n_draws - np.count_nonzero(valid))
         if skipped > _DEGENERATE_CEILING * n_draws:
             raise TooManyDegenerate(skipped, n_draws)
         if skipped:
-            g_star, sigma_star, var_star = g_star[valid], sigma_star[valid], var_star[valid]
+            g_star, cross, var_star = g_star[:, valid], cross[:, valid], var_star[:, valid]
 
         sd_star = np.sqrt(var_star)
         inv_sd = 1.0 / sd_star
-        # Entry (i, j) is (S_ij * inv_i) * inv_j: repeat lines up inv_i, tile inv_j.
-        omega_star = sigma_star * np.repeat(inv_sd, j, axis=1)
-        omega_star *= np.tile(inv_sd, j)
-        omega_star = omega_star.reshape(-1, j, j)
+        # Entry (a, b) is (S_ab * inv_a) * inv_b.
+        omega_star = cross[pair]
+        omega_star *= inv_sd[:, None]
+        omega_star *= inv_sd
         g_recentered_stud = math.sqrt(n) * g_star * inv_sd
+        # Per-replicate minimum of the reverse-centered studentized deviations,
+        # the pivot behind the first-stage confidence rectangle.
+        rectangle_min = np.min(-g_recentered_stud, axis=0)
+        # The moment-major temporaries go before the transposing copies.
+        del moments, g_star, cross, var_star, inv_sd
 
         self.n_draws = n_draws
         self.valid = valid
         self.skipped = skipped
-        self.sd_star = sd_star
-        self.omega_star = omega_star
-        self.g_recentered_stud = g_recentered_stud
-        # Per-replicate minimum of the reverse-centered studentized deviations,
-        # the pivot behind the first-stage confidence rectangle.
-        self.rectangle_min = np.min(-g_recentered_stud, axis=1)
+        self.sd_star = sd_star.T.copy()
+        self.g_recentered_stud = g_recentered_stud.T.copy()
+        self.omega_star = np.moveaxis(omega_star, -1, 0).copy()
+        self.rectangle_min = rectangle_min
         # The AQLR clamped sets carried between calls; None until the first.
         self._clamped = None
 
@@ -292,14 +304,17 @@ class BootstrapDraws(_Draws):
         Every AQLR call solves one QP per replicate on the same G* and
         Omega*, so each call's final clamped sets are kept as the next
         call's first guess (see `shifted_statistic_batch`). The first call
-        starts from the solver's default guess, the negative entries.
+        starts from the solver's default guess, the negative entries. The
+        adjusted Omega* is built on the first call that keeps a moment: with
+        every moment omitted the statistic is zero and reads no Omega.
         """
         vec = self.g_recentered_stud + shift
         if kind is StatisticKind.MMM:
             return shifted_statistic_batch(kind, vec, self.omega_star, omit)
         if self._clamped is None:
             self._clamped = vec < 0.0
-        return shifted_statistic_batch(kind, vec, self._omega_adjusted, omit, self._clamped)
+        sigma = self.omega_star if omit is not None and omit.all() else self._omega_adjusted
+        return shifted_statistic_batch(kind, vec, sigma, omit, self._clamped)
 
 
 def bootstrap_counts(rng: np.random.Generator, n: int, n_draws: int) -> np.ndarray:

@@ -13,7 +13,9 @@ to the unbiased divisor, so summaries are computed locally instead of through
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,35 +195,65 @@ def load_csv(path) -> MomentSample:
     row. Parse failures, non-finite values and ragged rows report the
     offending row and column (1-based); the row is the file line on which the
     record starts, so a quoted cell that spans lines does not shift it.
+
+    A file of plain numbers is converted in one `numpy.loadtxt` call, which
+    reads each cell as `float` does (whitespace stripped, then
+    `PyOS_string_to_double`), so it gives the record reader's array. Any
+    other file, or any outcome short of at least 2 rows of finite values,
+    goes to the record reader, which skips headers and blank records, reads
+    quoted cells and underscored digits, and raises the errors above.
     """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        text = handle.read()
+    values = _read_plain(text)
+    return MomentSample(_read_records(text) if values is None else values)
+
+
+def _read_plain(text: str) -> np.ndarray | None:
+    """The whole of ``text`` in one `numpy.loadtxt` call, or None unless
+    that gives at least 2 rows, all finite."""
+    try:
+        with warnings.catch_warnings():
+            # An empty file warns; the record reader reports it instead.
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(io.StringIO(text, newline=""), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[0] < 2 or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _read_records(text: str) -> np.ndarray:
+    """The record-by-record reader behind `load_csv`: every row checked,
+    every error raised with its row and column."""
     rows: list[list[float]] = []
     width: int | None = None
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        end = 0  # the file line on which the previous record ended
-        for record in reader:
-            lineno, end = end + 1, reader.line_num
-            try:
-                parsed = [float(cell) for cell in record]
-            except ValueError:
-                parsed = None
-            if parsed is None or not all(map(math.isfinite, parsed)):
-                # Only a row that fails the one-call conversion comes here:
-                # blank, the header, or the cell to report.
-                parsed = _parse_record(record, lineno)
-            if not parsed:
-                continue
-            if width is None:
-                width = len(parsed)
-            elif len(parsed) != width:
-                raise CsvFormatError(
-                    f"row {lineno} has {len(parsed)} columns, expected {width}",
-                    row=lineno,
-                )
-            rows.append(parsed)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    end = 0  # the file line on which the previous record ended
+    for record in reader:
+        lineno, end = end + 1, reader.line_num
+        try:
+            parsed = [float(cell) for cell in record]
+        except ValueError:
+            parsed = None
+        if parsed is None or not all(map(math.isfinite, parsed)):
+            # Only a row that fails the one-call conversion comes here:
+            # blank, the header, or the cell to report.
+            parsed = _parse_record(record, lineno)
+        if not parsed:
+            continue
+        if width is None:
+            width = len(parsed)
+        elif len(parsed) != width:
+            raise CsvFormatError(
+                f"row {lineno} has {len(parsed)} columns, expected {width}",
+                row=lineno,
+            )
+        rows.append(parsed)
     if width is None or len(rows) < 2:
         raise CsvFormatError("need at least 2 data rows")
-    return MomentSample(np.array(rows, dtype=float))
+    return np.array(rows, dtype=float)
 
 
 def _parse_record(record: list[str], lineno: int) -> list[float]:

@@ -54,8 +54,14 @@ def adjusted_sigma(sigma: np.ndarray) -> np.ndarray:
 
 
 def adjusted_sigma_batch(sigma: np.ndarray) -> np.ndarray:
-    """Batched `adjusted_sigma` for a stack of covariance matrices (B, J, J),
-    computed on the flat (B, J²) rows."""
+    """Batched `adjusted_sigma` for a stack of covariance matrices (B, J, J).
+
+    The correlations are formed on the flat (B, J²) rows, since `det` takes
+    the C-contiguous (B, J, J) stack: the matrices are not bitwise
+    symmetric, so a transposed stack would change the determinant's bytes.
+    The diagonal bump is added moment-major, from one contiguous length-B
+    row of variances per moment.
+    """
     batch, k, _ = sigma.shape
     flat = sigma.reshape(batch, k * k)
     var = flat[:, :: k + 1]
@@ -63,8 +69,9 @@ def adjusted_sigma_batch(sigma: np.ndarray) -> np.ndarray:
     corr = flat * np.repeat(inv_sd, k, axis=1)
     corr *= np.tile(inv_sd, k)
     bump = np.maximum(0.0, ADJUSTMENT_CUTOFF - np.linalg.det(corr.reshape(batch, k, k)))
+    del corr
     out = flat.copy()
-    out[:, :: k + 1] += bump[:, None] * var
+    out.T[:: k + 1] += bump * var.T.copy()
     return out.reshape(batch, k, k)
 
 

@@ -1,8 +1,12 @@
-"""Solver-independent oracles for the constrained empirical-likelihood tests.
+"""Independent oracles for the tests.
 
-Shared between the unit suite and the acceptance suite. Nothing in here may
-import from cmselect.tilt.
+Solver-independent oracles for the constrained empirical-likelihood tests,
+shared between the unit suite and the acceptance suite, and a replicate-major
+construction of the bootstrap draws. Nothing in here may import from
+cmselect.tilt.
 """
+
+import math
 
 import numpy as np
 
@@ -130,3 +134,48 @@ def slsqp_candidate(g):
     if np.all(p > 0) and np.all(p @ g >= -1e-12):
         return p, float(np.log(p).sum())
     return None
+
+
+def replicate_major_draws(sample, summary, counts):
+    """The bootstrap draws built one replicate per row: the resampling
+    product transposed to (B, W), the per-replicate passes on flat (B, J²)
+    rows, short-axis reductions, and the determinant adjustment on the same
+    flat rows. Returns the arrays `BootstrapDraws` exposes, with
+    ``omega_adjusted`` for its ``_omega_adjusted``."""
+    from cmselect.moments import variance_floor
+    from cmselect.statistics import ADJUSTMENT_CUTOFF
+
+    x = sample.values - summary.mean
+    n, j = x.shape
+    upper_i, upper_j = np.triu_indices(j)
+    columns = np.hstack([x, x[:, upper_i] * x[:, upper_j]])
+    moments = np.divide((columns.T @ counts.T).T, n, order="C")
+    g_star = moments[:, :j]
+    cross = moments[:, j:] - g_star[:, upper_i] * g_star[:, upper_j]
+    pair = np.empty((j, j), dtype=np.intp)
+    pair[upper_i, upper_j] = pair[upper_j, upper_i] = np.arange(upper_i.size)
+    sigma_star = np.take(cross, pair.ravel(), axis=1)
+    var_star = sigma_star[:, :: j + 1]
+    valid = np.all(var_star > variance_floor(sample.values, x), axis=1)
+    g_star, sigma_star, var_star = g_star[valid], sigma_star[valid], var_star[valid]
+    sd_star = np.sqrt(var_star)
+    inv_sd = 1.0 / sd_star
+    omega = sigma_star * np.repeat(inv_sd, j, axis=1)
+    omega *= np.tile(inv_sd, j)
+    g_recentered_stud = math.sqrt(n) * g_star * inv_sd
+
+    var = omega[:, :: j + 1]
+    inv = 1.0 / np.sqrt(var)
+    corr = omega * np.repeat(inv, j, axis=1)
+    corr *= np.tile(inv, j)
+    bump = np.maximum(0.0, ADJUSTMENT_CUTOFF - np.linalg.det(corr.reshape(-1, j, j)))
+    adjusted = omega.copy()
+    adjusted[:, :: j + 1] += bump[:, None] * var
+    return {
+        "valid": valid,
+        "g_recentered_stud": g_recentered_stud,
+        "sd_star": sd_star,
+        "omega_star": omega.reshape(-1, j, j),
+        "omega_adjusted": adjusted.reshape(-1, j, j),
+        "rectangle_min": np.min(-g_recentered_stud, axis=1),
+    }

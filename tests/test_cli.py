@@ -181,6 +181,17 @@ class TestCmdInvert:
         assert main(["invert", "--grid", str(manifest), "--draws", "200"]) == 2
         assert capsys.readouterr().err == "error: grid manifest line 3: no path cell\n"
 
+    def test_manifest_row_with_extra_cells_exits_two(self, tmp_path, capsys):
+        # csv.DictReader files the cells beyond the header under the key None;
+        # they are reported, not dropped, and no point runs.
+        [path] = self.make_grid(tmp_path, [1.0])
+        manifest = tmp_path / "grid.csv"
+        manifest.write_text("theta_id,path\na,{},junk\n".format(path.split("/")[-1]))
+        assert main(["invert", "--grid", str(manifest), "--draws", "200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: grid manifest line 2: extra cells 'junk'\n"
+        assert captured.out == ""
+
     def test_mismatched_width_aborts(self, tmp_path, capsys):
         path_a = tmp_path / "a.csv"
         write_sample(path_a, np.ones((5, 2)))

@@ -34,7 +34,9 @@ from cmselect.critical import (
     selection_step,
 )
 from cmselect.selection import KappaSchedule
+from cmselect.statistics import shifted_statistic_batch
 from cmselect.streams import ASYMPTOTIC, BOOTSTRAP, substream
+from oracles import replicate_major_draws
 
 
 def normal_sample(n, j, seed, shift=0.0):
@@ -69,6 +71,20 @@ class TestUpperQuantile:
     def test_level_domain(self):
         with pytest.raises(DomainError):
             upper_quantile(np.array([1.0]), 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-1.5, 0.0, 0.25, 0.25, 2.0, 1e300]), min_size=1, max_size=60),
+        st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_partial_sort_reads_the_sorted_order_statistic(self, values, level):
+        # Ties included; levels 1/m and 1 pick the smallest and the largest.
+        draws = np.array(values)
+        m = draws.size
+        for lv in (level, 1.0 / m, 1.0):
+            k = min(m, max(1, int(np.ceil(lv * m))))
+            expected = np.sort(draws)[k - 1]
+            assert np.float64(upper_quantile(draws, lv)).tobytes() == expected.tobytes()
 
 
 def run_gms_asym(summary, selection, kind, alpha, n_draws, seed):
@@ -280,6 +296,73 @@ class TestBootstrapDrawsOracle:
         draws = assert_draws_match_the_oracle(sample, counts)
         assert 0 < draws.skipped <= 10
         assert not np.any(counts[~draws.valid][:, values[:, 2] == 1.0])
+
+
+def correlated_sample(n, j, seed):
+    rng = np.random.default_rng(seed)
+    factor = np.linalg.cholesky(0.5 * np.eye(j) + 0.5)
+    return MomentSample(rng.standard_normal((n, j)) @ factor.T + rng.standard_normal(j))
+
+
+def degenerate_sample():
+    # A 0/1 column with 5 ones in 200 rows: about 0.7% of 1000 resamples draw
+    # no one, and that column's resampled variance is zero.
+    rng = np.random.default_rng(45)
+    values = rng.standard_normal((200, 3))
+    values[:, 1] = 0.0
+    values[rng.choice(200, 5, replace=False), 1] = 1.0
+    return MomentSample(values)
+
+
+class TestMomentMajorLayout:
+    """`BootstrapDraws` works on moment-major rows; every array it exposes
+    must equal, byte for byte, the replicate-major construction, and keep
+    its C-contiguous layout: at J=10 a row has enough entries for numpy to
+    sum a C-ordered row pairwise and an F-ordered one left to right."""
+
+    @pytest.mark.parametrize(
+        "sample, n_draws, skips",
+        [
+            pytest.param(correlated_sample(500, 4, 81), 10000, False, id="n500-J4-B10000"),
+            pytest.param(correlated_sample(100, 10, 82), 1000, False, id="n100-J10-B1000"),
+            pytest.param(correlated_sample(250, 4, 83), 1000, False, id="n250-J4-B1000"),
+            pytest.param(degenerate_sample(), 1000, True, id="degenerate"),
+        ],
+    )
+    def test_bytes_equal_the_replicate_major_construction(self, sample, n_draws, skips):
+        summary = summarize(sample)
+        counts = bootstrap_counts(substream(14, BOOTSTRAP), sample.n, n_draws)
+        draws = BootstrapDraws(sample, summary, counts)
+        oracle = replicate_major_draws(sample, summary, counts)
+        assert (draws.skipped > 0) == skips
+        assert draws.skipped == n_draws - oracle["valid"].sum()
+        assert np.array_equal(draws.valid, oracle["valid"])
+        for name in ("g_recentered_stud", "sd_star", "omega_star", "rectangle_min"):
+            mine, theirs = getattr(draws, name), oracle[name]
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
+        for name in ("g_recentered_stud", "sd_star", "omega_star"):
+            assert getattr(draws, name).flags.c_contiguous, name
+        assert draws._omega_adjusted.tobytes() == oracle["omega_adjusted"].tobytes()
+        shift = np.zeros(sample.n_moments)
+        for kind, sigma in ((StatisticKind.MMM, "omega_star"), (StatisticKind.AQLR, "omega_adjusted")):
+            expected = shifted_statistic_batch(kind, oracle["g_recentered_stud"] + shift, oracle[sigma])
+            assert draws.statistic_draws(shift, kind).tobytes() == expected.tobytes(), kind
+
+    def test_all_omitted_aqlr_reads_no_adjusted_omega(self):
+        sample = normal_sample(60, 3, 84, shift=-0.2)
+        draws = BootstrapDraws(sample, summarize(sample), bootstrap_counts(substream(3, BOOTSTRAP), sample.n, 200))
+        omit = np.ones(3, dtype=bool)
+        values = draws.statistic_draws(np.zeros(3), StatisticKind.AQLR, omit)
+        assert np.array_equal(values, np.zeros(draws.n_draws))
+        assert "_omega_adjusted" not in draws.__dict__
+        assert not draws._clamped.any()
+        # Clamped sets left by an earlier call are cleared too.
+        draws._clamped[:] = True
+        draws.statistic_draws(np.zeros(3), StatisticKind.AQLR, omit)
+        assert "_omega_adjusted" not in draws.__dict__
+        assert not draws._clamped.any()
+        draws.statistic_draws(np.zeros(3), StatisticKind.AQLR, np.array([True, False, True]))
+        assert "_omega_adjusted" in draws.__dict__
 
 
 # A fixed sample and fixed counts for the location and scale properties: one

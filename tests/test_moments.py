@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmselect import (
     CorrelationFamily,
@@ -12,6 +16,7 @@ from cmselect import (
     summarize,
 )
 from cmselect.critical import selection_step
+from cmselect.moments import _read_plain, _read_records
 from cmselect.selection import KappaKind, KappaSchedule
 
 
@@ -258,3 +263,71 @@ class TestCsv:
             load_csv(path)
         assert exc.value.row == 3
         assert str(exc.value) == "row 3 has 1 columns, expected 2"
+
+    def test_overflowing_cell_is_non_finite(self, tmp_path):
+        path = tmp_path / "overflow.csv"
+        path.write_text("1.0,2.0\n1e400,4.0\n5.0,6.0\n")
+        with pytest.raises(CsvFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value) == "non-finite value at row 2, column 1"
+
+    def test_underscored_digits_take_the_record_reader(self):
+        text = "1_000,2.0\n3.0,4.0\n"
+        assert _read_plain(text) is None
+        assert _read_records(text).tolist() == [[1000.0, 2.0], [3.0, 4.0]]
+
+    def test_empty_file_needs_two_rows_without_a_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError) as exc:
+                load_csv(path)
+        assert str(exc.value) == "need at least 2 data rows"
+
+
+_CELL_FORMATS = (repr, lambda x: "%.17g" % x, lambda x: "%.6g" % x)
+
+
+@st.composite
+def plain_csv(draw):
+    """A CSV of finite floats, as the one-call path must accept it: cells
+    written with repr, %.17g or %.6g, some padded with blanks or tabs, and
+    LF or CRLF line endings."""
+    n_rows = draw(st.integers(2, 6))
+    n_cols = draw(st.integers(1, 4))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    lines = []
+    for _ in range(n_rows):
+        cells = []
+        for _ in range(n_cols):
+            text = draw(st.sampled_from(_CELL_FORMATS))(draw(floats))
+            pad = draw(st.sampled_from(["", " ", "\t", "  "]))
+            cells.append(draw(st.sampled_from([text, pad + text, text + pad, pad + text + pad])))
+        lines.append(",".join(cells))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+class TestCsvPaths:
+    @settings(max_examples=300, deadline=None)
+    @given(plain_csv())
+    def test_one_call_path_equals_the_record_reader(self, text):
+        fast = _read_plain(text)
+        assert fast is not None
+        slow = _read_records(text)
+        assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("g1,g2\n1,2\n3,4\n", id="header"),
+            pytest.param("1,2\n , \n3,4\n", id="blank-record"),
+            pytest.param('"1",2\n3,4\n', id="quoted"),
+            pytest.param("1,2\n3\n", id="ragged"),
+            pytest.param("1,nan\n3,4\n", id="non-finite"),
+            pytest.param("1,2\n", id="one-row"),
+        ],
+    )
+    def test_other_files_take_the_record_reader(self, text):
+        assert _read_plain(text) is None
