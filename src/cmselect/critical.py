@@ -47,7 +47,7 @@ import numpy as np
 from .errors import DegenerateColumn, DomainError, MissingTable, TooManyDegenerate
 from .moments import MomentSample, MomentSummary, cholesky_factor, summarize, variance_floor
 from .selection import KappaSchedule, SelectionVector, check_phi, kappa as kappa_value, phi_k
-from .statistics import StatisticKind, adjusted_sigma, evaluate, shifted_statistic_batch
+from .statistics import StatisticKind, evaluate, shifted_statistic_batch
 from .streams import ASYMPTOTIC, BOOTSTRAP, substream
 from .tilt import TiltResult, tilt
 
@@ -200,7 +200,10 @@ class AsymptoticDraws(_Draws):
 
     @cached_property
     def _adjusted(self) -> np.ndarray:
-        return adjusted_sigma(self.correlation)
+        # Looked up on cmselect.statistics at call time; see _omega_adjusted.
+        from .statistics import adjusted_sigma_batch
+
+        return adjusted_sigma_batch(self.correlation[None])[0]
 
     def statistic_draws(self, shift: np.ndarray, kind: StatisticKind, omit: np.ndarray | None = None) -> np.ndarray:
         """Draws of S(Omega^(1/2) Z + shift, Omega); see `BootstrapDraws.statistic_draws`."""

@@ -189,7 +189,8 @@ def cholesky_factor(matrix: np.ndarray) -> np.ndarray:
 def load_csv(path) -> MomentSample:
     """Read a moment sample from CSV: n rows by J numeric columns.
 
-    The file is read as UTF-8; a leading byte-order mark is dropped. Blank
+    The file is read as UTF-8; a leading byte-order mark is dropped, and a
+    byte that is not UTF-8 raises CsvFormatError naming its offset. Blank
     lines are skipped. Line 1 is a header, and skipped, when none of its
     non-blank cells parses as a number; otherwise it is data like any other
     row. Parse failures, non-finite values and ragged rows report the
@@ -203,8 +204,12 @@ def load_csv(path) -> MomentSample:
     goes to the record reader, which skips headers and blank records, reads
     quoted cells and underscored digits, and raises the errors above.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as err:
+        raise CsvFormatError(f"not UTF-8: byte 0x{data[err.start]:02x} at offset {err.start}") from None
     values = _read_plain(text)
     return MomentSample(_read_records(text) if values is None else values)
 

@@ -10,6 +10,13 @@ one at g = sqrt(n) * mean with Sigma the divisor-n covariance. A boolean
 zero to the sum statistic and are deleted (row and column) before the
 quadratic-form statistic is solved, which reproduces the limit of sending the
 entry to infinity.
+
+The quadratic-form statistic reads Sigma after the determinant adjustment of
+Andrews and Barwick (2012), one routine for every caller,
+`adjusted_sigma_batch`: the statistic on data and the asymptotic draws pass
+a batch of one, the bootstrap draws their whole (B, J, J) stack. Its
+determinant, `correlation_det`, is one unpivoted LDL^T factorization run
+across the stack on moment-major rows, not a LAPACK LU per matrix.
 """
 
 from __future__ import annotations
@@ -34,45 +41,66 @@ class StatisticKind(enum.Enum):
     AQLR = "aqlr"
 
 
-def adjusted_sigma(sigma: np.ndarray) -> np.ndarray:
-    """Diagonal-inflated covariance used by the quadratic-form statistic.
-
-    Adds max(0, 0.012 - det(correlation)) times the variance diagonal, which
-    leaves well-conditioned covariances untouched and regularizes
-    near-singular ones.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    var = np.diag(sigma)
-    if np.any(var <= 0):
-        raise DegenerateColumn(int(np.argmin(var)))
-    inv_sd = 1.0 / np.sqrt(var)
-    corr = sigma * np.outer(inv_sd, inv_sd)
-    bump = max(0.0, ADJUSTMENT_CUTOFF - float(np.linalg.det(corr)))
-    if bump == 0.0:
-        return sigma.copy()
-    return sigma + bump * np.diag(var)
-
-
 def adjusted_sigma_batch(sigma: np.ndarray) -> np.ndarray:
-    """Batched `adjusted_sigma` for a stack of covariance matrices (B, J, J).
+    """Diagonal-inflated covariances used by the quadratic-form statistic, for
+    a stack of covariance matrices (B, K, K); a single matrix is a batch of
+    one.
 
-    The correlations are formed on the flat (B, J²) rows, since `det` takes
-    the C-contiguous (B, J, J) stack: the matrices are not bitwise
-    symmetric, so a transposed stack would change the determinant's bytes.
-    The diagonal bump is added moment-major, from one contiguous length-B
-    row of variances per moment.
+    Each matrix gets max(0, 0.012 - det(correlation)) times its variance
+    diagonal (`correlation_det`), which leaves well-conditioned covariances
+    untouched and regularizes near-singular ones.
     """
     batch, k, _ = sigma.shape
+    bump = np.maximum(0.0, ADJUSTMENT_CUTOFF - correlation_det(sigma))
+    out = sigma.reshape(batch, k * k).copy()
+    if bump.any():
+        diagonal = out.T[:: k + 1]
+        diagonal += bump * diagonal
+    return out.reshape(batch, k, k)
+
+
+def correlation_det(sigma: np.ndarray) -> np.ndarray:
+    """det(correlation) of each covariance matrix in a stack (B, K, K).
+
+    One LDL^T factorization without pivoting runs on every matrix at once:
+    the lower triangles are copied moment-major, (K, K, B), so each step
+    works on contiguous length-B rows, and the determinant is the product of
+    the pivot ratios d_i / var_i, so no correlation is formed. A matrix with
+    a non-positive or NaN pivot is singular or indefinite; for those alone
+    the determinant is LAPACK's, of the explicit correlation.
+    """
+    batch, k, _ = sigma.shape
+    work = np.empty((k, k, batch))
+    for i in range(k):
+        work[i, : i + 1] = sigma[:, i, : i + 1].T
+    var = np.diagonal(work).T.copy()
+    pivot = work[0, 0]
+    det = pivot / var[0]
+    factored = pivot > 0.0
+    # Past a failed pivot a matrix's entries, and its det, are garbage.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(1, k):
+            column = work[j:, j - 1]
+            scaled = column / pivot
+            for i in range(j, k):
+                work[i, j : i + 1] -= scaled[i - j] * column[: i - j + 1]
+            pivot = work[j, j]
+            factored &= pivot > 0.0
+            det *= pivot / var[j]
+    if not factored.all():
+        det[~factored] = _explicit_correlation_det(sigma[~factored])
+    return det
+
+
+def _explicit_correlation_det(sigma: np.ndarray) -> np.ndarray:
+    """LAPACK's determinant of each matrix's correlation, formed on flat
+    (B, K²) rows."""
+    batch, k, _ = sigma.shape
     flat = sigma.reshape(batch, k * k)
-    var = flat[:, :: k + 1]
-    inv_sd = 1.0 / np.sqrt(var)
+    inv_sd = 1.0 / np.sqrt(flat[:, :: k + 1])
     corr = flat * np.repeat(inv_sd, k, axis=1)
     corr *= np.tile(inv_sd, k)
-    bump = np.maximum(0.0, ADJUSTMENT_CUTOFF - np.linalg.det(corr.reshape(batch, k, k)))
-    del corr
-    out = flat.copy()
-    out.T[:: k + 1] += bump * var.T.copy()
-    return out.reshape(batch, k, k)
+    return np.linalg.det(corr.reshape(batch, k, k))
 
 
 def evaluate(kind: StatisticKind, summary: MomentSummary) -> float:
@@ -81,9 +109,9 @@ def evaluate(kind: StatisticKind, summary: MomentSummary) -> float:
     By degree-two homogeneity this is n S(mean, covariance), read through
     `shifted_statistic_batch` as a batch of one with no moment omitted; a
     column with no variance raises DegenerateColumn. For the quadratic-form
-    statistic the covariance is first adjusted (`adjusted_sigma`), must be
-    positive definite (its Cholesky factorization is the check;
-    SingularCovariance otherwise), and is studentized: the pair
+    statistic the covariance is first adjusted (`adjusted_sigma_batch`, a
+    batch of one), must be positive definite (its Cholesky factorization is
+    the check; SingularCovariance otherwise), and is studentized: the pair
     (D^(-1) mean, D^(-1) Sigma D^(-1)), D the standard deviations, has the
     same value and reaches the solver in the scale of the critical-value
     draws, so the solver's tolerances do not depend on the units of the data.
@@ -93,7 +121,7 @@ def evaluate(kind: StatisticKind, summary: MomentSummary) -> float:
     if np.any(var <= 0):
         raise DegenerateColumn(int(np.argmin(var)))
     if kind is StatisticKind.AQLR:
-        sigma = adjusted_sigma(sigma)
+        sigma = adjusted_sigma_batch(sigma[None])[0]
         try:
             np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
@@ -116,9 +144,9 @@ def shifted_statistic_batch(
     boolean mask of omitted moments shared by every draw (the selection is
     computed from the data, not per draw). ``sigma`` is (B, J, J) or (J, J)
     and is used as supplied: callers of the quadratic-form statistic apply
-    the determinant adjustment to the full matrices first (`adjusted_sigma`
-    or `adjusted_sigma_batch`), and omitted rows and columns are deleted
-    after it.
+    the determinant adjustment to the full matrices first
+    (`adjusted_sigma_batch`), and omitted rows and columns are deleted after
+    it.
 
     ``clamped`` is an optional (B, J) boolean array on the full moment grid
     that carries the quadratic program's clamped sets from one call to the

@@ -1,9 +1,9 @@
 """Independent oracles for the tests.
 
 Solver-independent oracles for the constrained empirical-likelihood tests,
-shared between the unit suite and the acceptance suite, and a replicate-major
-construction of the bootstrap draws. Nothing in here may import from
-cmselect.tilt.
+shared between the unit suite and the acceptance suite, the determinant
+adjustment with LAPACK's determinant, and a replicate-major construction of
+the bootstrap draws. Nothing in here may import from cmselect.tilt.
 """
 
 import math
@@ -136,14 +136,40 @@ def slsqp_candidate(g):
     return None
 
 
+def lapack_correlation_det(sigma):
+    """np.linalg.det (LAPACK's LU) of the explicit correlation of each matrix
+    in a stack (B, K, K), the correlations formed on flat (B, K²) rows."""
+    batch, k, _ = sigma.shape
+    flat = sigma.reshape(batch, k * k)
+    inv = 1.0 / np.sqrt(flat[:, :: k + 1])
+    corr = flat * np.repeat(inv, k, axis=1)
+    corr *= np.tile(inv, k)
+    return np.linalg.det(corr.reshape(batch, k, k))
+
+
+def lapack_adjusted_sigma(sigma):
+    """The AQLR determinant adjustment of a stack (B, K, K) read off
+    `lapack_correlation_det`: max(0, 0.012 - det) times the variance
+    diagonal is added to each matrix."""
+    from cmselect.statistics import ADJUSTMENT_CUTOFF
+
+    batch, k, _ = sigma.shape
+    bump = np.maximum(0.0, ADJUSTMENT_CUTOFF - lapack_correlation_det(sigma))
+    adjusted = sigma.reshape(batch, k * k).copy()
+    adjusted[:, :: k + 1] += bump[:, None] * adjusted[:, :: k + 1]
+    return adjusted.reshape(batch, k, k)
+
+
 def replicate_major_draws(sample, summary, counts):
     """The bootstrap draws built one replicate per row: the resampling
     product transposed to (B, W), the per-replicate passes on flat (B, J²)
-    rows, short-axis reductions, and the determinant adjustment on the same
-    flat rows. Returns the arrays `BootstrapDraws` exposes, with
-    ``omega_adjusted`` for its ``_omega_adjusted``."""
+    rows and short-axis reductions. Returns the arrays `BootstrapDraws`
+    exposes, with ``omega_adjusted`` for its ``_omega_adjusted``: the
+    package's determinant adjustment applied to this construction's own
+    Omega*, so that the layout is checked here and the adjustment itself
+    against `lapack_adjusted_sigma` in the statistics tests."""
     from cmselect.moments import variance_floor
-    from cmselect.statistics import ADJUSTMENT_CUTOFF
+    from cmselect.statistics import adjusted_sigma_batch
 
     x = sample.values - summary.mean
     n, j = x.shape
@@ -163,19 +189,11 @@ def replicate_major_draws(sample, summary, counts):
     omega = sigma_star * np.repeat(inv_sd, j, axis=1)
     omega *= np.tile(inv_sd, j)
     g_recentered_stud = math.sqrt(n) * g_star * inv_sd
-
-    var = omega[:, :: j + 1]
-    inv = 1.0 / np.sqrt(var)
-    corr = omega * np.repeat(inv, j, axis=1)
-    corr *= np.tile(inv, j)
-    bump = np.maximum(0.0, ADJUSTMENT_CUTOFF - np.linalg.det(corr.reshape(-1, j, j)))
-    adjusted = omega.copy()
-    adjusted[:, :: j + 1] += bump[:, None] * var
     return {
         "valid": valid,
         "g_recentered_stud": g_recentered_stud,
         "sd_star": sd_star,
         "omega_star": omega.reshape(-1, j, j),
-        "omega_adjusted": adjusted.reshape(-1, j, j),
+        "omega_adjusted": adjusted_sigma_batch(omega.reshape(-1, j, j)),
         "rectangle_min": np.min(-g_recentered_stud, axis=1),
     }

@@ -227,6 +227,19 @@ class TestCmdInvert:
         assert payload["confidence_set"] == ["theta_0"]
         assert captured.err.startswith("error: point absent: ")
 
+    def test_file_that_is_not_utf8_is_listed_and_exits_two(self, tmp_path, capsys):
+        paths = self.make_grid(tmp_path, [1.0, 2.0])
+        undecodable = tmp_path / "latin.csv"
+        undecodable.write_bytes(b"1.0,2.0\n3.0,4.0\n5.0,\xff\n")
+        code = main(["invert", paths[0], str(undecodable), paths[1], "--draws", "200", "--statistic", "mmm"])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert code == 2
+        assert [p["theta_id"] for p in payload["points"]] == ["theta_0", "latin", "theta_1"]
+        assert payload["points"][1] == {"theta_id": "latin", "error": "not UTF-8: byte 0xff at offset 20"}
+        assert payload["confidence_set"] == ["theta_0", "theta_1"]
+        assert captured.err.startswith("error: point latin: ")
+
     def test_cached_counts_match_a_fresh_build_at_every_point(self, tmp_path, capsys):
         rng = np.random.default_rng(11)
         paths = []

@@ -215,6 +215,14 @@ class TestCsv:
         path.write_bytes("\ufeff1.5,2.0\n-0.5,3.25\n0.0,-1.0\n".encode("utf-8"))
         assert load_csv(path).values.tolist() == [[1.5, 2.0], [-0.5, 3.25], [0.0, -1.0]]
 
+    @pytest.mark.parametrize("head", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_undecodable_byte_names_its_file_offset(self, tmp_path, head):
+        # A Latin-1 "é" (0xe9) in row 2; the offset counts a byte-order mark.
+        path = tmp_path / "latin.csv"
+        path.write_bytes(head + b"1.5,2.0\n-0.5,3.2\xe9\n")
+        with pytest.raises(CsvFormatError, match=f"^not UTF-8: byte 0xe9 at offset {len(head) + 16}$"):
+            load_csv(path)
+
     def test_whitespace_padded_cells(self, tmp_path):
         path = tmp_path / "padded.csv"
         path.write_text(" 1.5 ,\t2.0\n-0.5 , 3.25\t\n")

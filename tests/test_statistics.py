@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmselect import MomentSample, MomentSummary, StatisticKind, evaluate, summarize
+from cmselect import MomentSample, MomentSummary, StatisticKind, evaluate, statistics, summarize
 from cmselect.errors import DegenerateColumn, SingularCovariance
 from cmselect.qp import inverse_spd, nonneg_projection, nonneg_projection_batch
-from cmselect.statistics import adjusted_sigma, adjusted_sigma_batch, shifted_statistic_batch
+from cmselect.statistics import ADJUSTMENT_CUTOFF, adjusted_sigma_batch, correlation_det, shifted_statistic_batch
+from oracles import lapack_adjusted_sigma, lapack_correlation_det
 
 
 def random_spd(rng, j, spread=1.0):
@@ -17,6 +18,11 @@ def random_spd(rng, j, spread=1.0):
 def _statistic(kind, vec, sigma, omit=None, clamped=None):
     """S(vec, sigma) through the one statistic kernel, as a batch of one."""
     return shifted_statistic_batch(kind, np.asarray(vec, dtype=float)[None], sigma, omit, clamped)[0]
+
+
+def _adjusted(sigma):
+    """The determinant adjustment of one matrix, as a batch of one."""
+    return adjusted_sigma_batch(np.asarray(sigma, dtype=float)[None])[0]
 
 
 def _mmm_closed_form(vec, sigma, kept):
@@ -45,11 +51,11 @@ class TestAdjustedCovariance:
     def test_identity_correlation_untouched(self):
         sample = MomentSample(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
         summary = summarize(sample)
-        assert np.array_equal(adjusted_sigma(summary.covariance), summary.covariance)
+        assert np.array_equal(_adjusted(summary.covariance), summary.covariance)
 
     def test_near_singular_hand_value(self):
         sigma = np.array([[1.0, 0.998], [0.998, 1.0]])
-        bumped = adjusted_sigma(sigma)
+        bumped = _adjusted(sigma)
         expected_bump = 0.012 - (1.0 - 0.998**2)
         assert bumped[0, 0] == pytest.approx(1.0 + expected_bump, abs=1e-12)
         assert bumped[0, 1] == pytest.approx(0.998)
@@ -58,11 +64,11 @@ class TestAdjustedCovariance:
         # determinant just above the cutoff: no adjustment at all
         rho = np.sqrt(1.0 - 0.012 - 1e-9)
         sigma = np.array([[1.0, rho], [rho, 1.0]])
-        assert np.array_equal(adjusted_sigma(sigma), sigma)
+        assert np.array_equal(_adjusted(sigma), sigma)
         # just below: strictly inflated diagonal
         rho = np.sqrt(1.0 - 0.012 + 1e-6)
         sigma = np.array([[1.0, rho], [rho, 1.0]])
-        assert adjusted_sigma(sigma)[0, 0] > 1.0
+        assert _adjusted(sigma)[0, 0] > 1.0
 
     def test_scales_with_variance_diagonal(self):
         rho = 0.999
@@ -71,7 +77,7 @@ class TestAdjustedCovariance:
         sigma = np.sqrt(d) @ corr @ np.sqrt(d)
         bump = 0.012 - np.linalg.det(corr)
         expected = sigma + bump * d
-        assert np.allclose(adjusted_sigma(sigma), expected, rtol=1e-12)
+        assert np.allclose(_adjusted(sigma), expected, rtol=1e-12)
 
     @pytest.mark.parametrize("bumped", [True, False])
     def test_batch_matches_per_matrix(self, bumped):
@@ -87,10 +93,106 @@ class TestAdjustedCovariance:
         det = np.linalg.det(sigma / sd[:, :, None] / sd[:, None, :])
         assert np.all(det < 0.012) if bumped else np.all(det > 0.012)
         batch = adjusted_sigma_batch(sigma)
+        oracle = lapack_adjusted_sigma(sigma)
         for i in range(b):
-            expected = adjusted_sigma(sigma[i])
-            np.testing.assert_allclose(batch[i], expected, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(batch[i], oracle[i], rtol=1e-12, atol=0.0)
             assert np.array_equal(batch[i], sigma[i]) != bumped
+
+
+@st.composite
+def covariance_stacks(draw):
+    """Five K×K covariances, K = 1..40, with column scales from 1e-8 to 1e8.
+    Each correlation comes from a spectrum exp(-s u), u uniform on [0, 1] and
+    s on [0, 6], so its determinant runs from 1 (s = 0) to far below 1e-12
+    (large K and s) while its condition number stays below ~e^6: there two
+    backward-stable factorizations agree to ~1e-14 relative."""
+    k = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    stack = []
+    for spread in rng.uniform(0.0, 6.0, 5):
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        a = (q * np.exp(-spread * rng.uniform(0.0, 1.0, k))) @ q.T
+        a = (a + a.T) / 2.0
+        sd = np.sqrt(np.diag(a)) / 10.0 ** rng.uniform(-8.0, 8.0, k)
+        stack.append(a / np.outer(sd, sd))
+    return np.stack(stack)
+
+
+def _equicorrelation_with_det(k, det):
+    """The K×K equicorrelation whose determinant (1 - r)^(K-1) (1 + (K-1) r)
+    is ``det``, found by bisection on r in [0, 1)."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        r = (lo + hi) / 2.0
+        if (1.0 - r) ** (k - 1) * (1.0 + (k - 1) * r) > det:
+            lo = r
+        else:
+            hi = r
+    corr = np.full((k, k), lo)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+class TestCorrelationDeterminant:
+    """`correlation_det` factors LDL^T on the covariances; the oracle is
+    LAPACK's LU determinant of the explicit correlations."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(covariance_stacks())
+    def test_matches_the_explicit_correlation_det(self, sigma):
+        det = correlation_det(sigma)
+        oracle = lapack_correlation_det(sigma)
+        np.testing.assert_allclose(det, oracle, rtol=1e-12, atol=0.0)
+        # Above the cutoff (with room for that difference) nothing moves.
+        above = oracle >= ADJUSTMENT_CUTOFF * (1.0 + 1e-9)
+        assert adjusted_sigma_batch(sigma)[above].tobytes() == sigma[above].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=40),
+        st.floats(min_value=1e-9, max_value=1e-2),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_just_above_the_cutoff_the_output_is_the_input(self, k, margin, seed):
+        corr = _equicorrelation_with_det(k, ADJUSTMENT_CUTOFF * (1.0 + 2.0 * margin))
+        sd = 10.0 ** np.random.default_rng(seed).uniform(-8.0, 8.0, k)
+        sigma = (corr * np.outer(sd, sd))[None]
+        assume(lapack_correlation_det(sigma)[0] >= ADJUSTMENT_CUTOFF * (1.0 + 1e-9))
+        assert adjusted_sigma_batch(sigma).tobytes() == sigma.tobytes()
+
+    def test_singular_and_indefinite_matrices_take_the_lapack_route(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        stack = []
+        for k in (4, 10):
+            spd = random_spd(rng, k)
+            duplicated = random_spd(rng, k)
+            duplicated[:, k - 1] = duplicated[:, 1]
+            duplicated[k - 1, :] = duplicated[1, :]
+            stack += [spd, duplicated]
+        # Unit diagonal, off-diagonals 1.5: indefinite with det 1, no bump.
+        indefinite = np.full((4, 4), 1.5)
+        np.fill_diagonal(indefinite, 1.0)
+        # Unit diagonal, off-diagonal 2: det -3, a bump of 3.012.
+        negative = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 0.0], [2.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        sigma4 = np.stack([stack[0], stack[1], indefinite, negative])
+        sigma10 = np.stack(stack[2:])
+
+        received = []
+
+        def recording(sub):
+            received.append(sub.copy())
+            return lapack_correlation_det(sub)
+
+        monkeypatch.setattr(statistics, "_explicit_correlation_det", recording)
+        for sigma, singular in ((sigma4, [1, 2, 3]), (sigma10, [1])):
+            received.clear()
+            adjusted = adjusted_sigma_batch(sigma)
+            assert len(received) == 1 and received[0].tobytes() == sigma[singular].tobytes()
+            # Today's bump, bitwise, on the fallback matrices; the SPD ones
+            # (det well above the cutoff) are untouched.
+            assert adjusted.tobytes() == lapack_adjusted_sigma(sigma).tobytes()
+            assert np.all(np.isfinite(adjusted))
+        np.testing.assert_allclose(adjusted_sigma_batch(negative[None])[0], negative + 3.012 * np.eye(4), rtol=1e-12)
 
 
 class TestAqlr:
@@ -230,7 +332,7 @@ def test_batch_matches_scalar_evaluation():
             # Independent oracles on the kept columns: the closed form, and
             # the reference active-set solver in W = Sigma^(-1).
             if kind is StatisticKind.AQLR:
-                block = adjusted_sigma(sigma[i])[np.ix_(kept, kept)]
+                block = lapack_adjusted_sigma(sigma[i][None])[0][np.ix_(kept, kept)]
                 expected = nonneg_projection(inverse_spd(block), vec[i, kept])[1]
             else:
                 expected = _mmm_closed_form(vec[i], sigma[i], kept)
@@ -278,7 +380,7 @@ def test_aqlr_rejects_a_covariance_that_is_not_positive_definite():
     # is unbounded below, yet a clamped set passes the pivoting's KKT test.
     cov = np.full((3, 3), 1.5)
     np.fill_diagonal(cov, 1.0)
-    assert np.array_equal(adjusted_sigma(cov), cov)
+    assert np.array_equal(_adjusted(cov), cov)
     summary = MomentSummary(np.array([-0.1, -0.1, 0.2]), cov, np.ones(3), cov.copy(), 100)
     with pytest.raises(SingularCovariance):
         evaluate(StatisticKind.AQLR, summary)
