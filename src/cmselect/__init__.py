@@ -62,6 +62,6 @@ from .selection import (
     phi_k,
 )
 from .statistics import StatisticKind, evaluate
-from .tilt import TiltResult, feasible, tilt
+from .tilt import TiltResult, tilt
 
 __version__ = "0.1.0"

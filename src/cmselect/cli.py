@@ -15,11 +15,12 @@ import json
 import sys
 from pathlib import Path
 
-from .critical import MODE_ASYMPTOTIC, MODE_BOOTSTRAP, PROCEDURE_ALIASES, RmsTables, run_test
+from .critical import MODE_ALIASES, PROCEDURE_ALIASES, RmsTables, mode_name, procedure_name, run_test
 from .errors import CmselectError
 from .harness import (
     CORRECTED_PROCEDURES,
     ExperimentConfig,
+    config_record,
     corrections_from,
     default_replications,
     emit,
@@ -31,8 +32,6 @@ from .heap import retain_freed_buffers
 from .moments import CorrelationFamily, load_csv
 from .selection import SELECTIONS, KappaSchedule
 from .statistics import StatisticKind
-
-_MODES = {"asym": MODE_ASYMPTOTIC, "boot": MODE_BOOTSTRAP}
 
 
 def _typed(kind):
@@ -85,10 +84,10 @@ def _seed(text: str) -> int:
 
 def _shared_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--statistic", choices=["mmm", "aqlr"], default="aqlr")
-    parser.add_argument("--procedure", choices=list(PROCEDURE_ALIASES), default="cms")
+    parser.add_argument("--procedure", type=procedure_name, default="cms", help=", ".join(PROCEDURE_ALIASES))
     parser.add_argument("--phi", type=int, choices=list(SELECTIONS), default=1)
     parser.add_argument("--kappa", default="sqrt-log-n", help="sqrt-log-n, sqrt-2loglogn, fixed:<v>")
-    parser.add_argument("--mode", choices=["asym", "boot"], default="boot")
+    parser.add_argument("--mode", type=mode_name, default="boot", help=", ".join(MODE_ALIASES))
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--draws", type=int, default=10000)
     parser.add_argument("--beta", type=float, default=None, help="first-stage level (rsw)")
@@ -131,7 +130,7 @@ def _decision_kwargs(args) -> dict:
         "procedure": args.procedure,
         "phi": args.phi,
         "schedule": KappaSchedule.parse(args.kappa),
-        "mode": _MODES[args.mode],
+        "mode": args.mode,
         "alpha": args.alpha,
         "n_draws": args.draws,
         "beta": args.beta,
@@ -154,7 +153,8 @@ def _grid_points(args) -> list:
     if args.grid:
         import csv as _csv
 
-        with open(args.grid, newline="", encoding="utf-8") as handle:
+        # utf-8-sig: a spreadsheet may save the manifest with a byte-order mark.
+        with open(args.grid, newline="", encoding="utf-8-sig") as handle:
             reader = _csv.DictReader(handle)
             if reader.fieldnames is None or {"theta_id", "path"} - set(reader.fieldnames):
                 raise CmselectError("grid manifest needs columns theta_id,path")
@@ -235,6 +235,9 @@ def load_config(path, overrides=None) -> tuple:
     unknown = sorted(set(raw) - _CONFIG_KEYS)
     if unknown:
         raise CmselectError(f"unknown config key {', '.join(map(repr, unknown))}")
+    missing = [key for key in ("J", "n") if key not in raw]
+    if missing:
+        raise CmselectError(f"missing config key {', '.join(map(repr, missing))}")
     raw.update(overrides or {})
 
     j = _convert("J", _integer, raw["J"])
@@ -307,19 +310,9 @@ def cmd_simulate(args) -> int:
     config, phases = load_config(args.config, overrides)
 
     if args.dry_run:
-        echo = {
-            "J": config.J,
-            "family": config.family.kind,
-            "n": config.n,
-            "r_mc": config.r_mc,
-            "b": config.b,
-            "alpha": config.alpha,
-            "kappa": config.kappa.spell(),
-            "procedures": list(config.procedures),
-            "statistics": [k.value for k in config.statistics],
+        echo = config_record(config) | {
             "null_patterns": len(config.null_mu),
             "alternatives": len(config.alternative_mu),
-            "seed": config.seed,
             "phases": list(phases),
             "threads": config.threads,
         }
@@ -344,9 +337,11 @@ def cmd_simulate(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    retain_freed_buffers()
     try:
+        # Inside the try: --procedure and --mode raise DomainError on a
+        # spelling `procedure_name` or `mode_name` does not read.
+        args = parser.parse_args(argv)
+        retain_freed_buffers()
         if args.command == "test":
             return cmd_test(args)
         if args.command == "invert":

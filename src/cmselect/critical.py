@@ -12,12 +12,13 @@ of the sorted draws, the right-continuous inverse of the empirical CDF.
 
 The two modes differ only in where the draws of (G, Omega) come from. One
 draws object per sample, `AsymptoticDraws` or `BootstrapDraws` (which keeps
-its valid replicates only), serves every procedure and both statistics: each
-draws S(G + shift, Omega) through `statistic_draws`, differing only in the
-shift. `critical_values` reads every requested procedure's critical value
-off one such object, tilting the sample once for CMS and CMS_FC; `run_test`
-in both modes and the Monte Carlo harness all go through it, so comparisons
-across procedures are paired. `rejects` is the one rejection rule.
+its valid replicates only), serves every procedure and both statistics. Each
+only builds G and Omega; both draw S(G + shift, Omega) through the one
+`_Draws.statistic_draws`, differing only in the shift. `critical_values`
+reads every requested procedure's critical value off one such object,
+tilting the sample once for CMS and CMS_FC; `run_test` in both modes and the
+Monte Carlo harness all go through it, so comparisons across procedures are
+paired. `rejects` is the one rejection rule.
 
 GMS, CMS, CMS_FC and RMS select through one formula, `selection_step`'s
 phi_k(phi, xi) at xi = sqrt(n) m / sqrt(v) / kappa; they differ only in the
@@ -53,8 +54,8 @@ from .tilt import TiltResult, tilt
 
 # Share of degenerate bootstrap replicates tolerated before aborting.
 _DEGENERATE_CEILING = 0.01
-# Asymptotic draws generated, and statistics evaluated, at once.
-_ASYMPTOTIC_CHUNK = 200_000
+# Draws whose statistics are evaluated, and asymptotic normals drawn, at once.
+_DRAWS_CHUNK = 200_000
 # Bootstrap replicates whose resampling counts are drawn at once.
 _COUNTS_CHUNK = 1000
 
@@ -167,7 +168,47 @@ def rsw_beta(alpha: float, beta: float | None = None) -> float:
 
 class _Draws:
     """Draws of (G, Omega) on one sample, shared across procedures. Subclasses
-    supply ``statistic_draws``, ``mode``, ``n_draws`` and ``skipped``."""
+    supply ``g_recentered_stud`` (a row per draw), ``omega_star`` (one (J, J)
+    Omega, or one per draw), ``mode``, ``n_draws`` and ``skipped``."""
+
+    # The AQLR clamped sets carried between calls; None until the first.
+    _clamped = None
+
+    @cached_property
+    def _omega_adjusted(self) -> np.ndarray:
+        # Looked up on cmselect.statistics at call time, where the benchmark's
+        # tracer wraps it. A (J, J) Omega is adjusted as a batch of one.
+        from .statistics import adjusted_sigma_batch
+
+        omega = self.omega_star
+        j = omega.shape[-1]
+        return adjusted_sigma_batch(omega.reshape(-1, j, j)).reshape(omega.shape)
+
+    def statistic_draws(self, shift: np.ndarray, kind: StatisticKind, omit: np.ndarray | None = None) -> np.ndarray:
+        """Draws of S(G + shift, Omega), with ``shift`` finite and ``omit``
+        masking omitted moments, evaluated _DRAWS_CHUNK draws at a time.
+
+        Every AQLR call solves one QP per draw on the same G and Omega, so
+        each call's final clamped sets are kept as the next call's first
+        guess (see `shifted_statistic_batch`). The first call starts from
+        the solver's default guess, the negative entries. The adjusted Omega
+        is built on the first call that keeps a moment: with every moment
+        omitted the statistic is zero and reads no Omega.
+        """
+        vec = self.g_recentered_stud + shift
+        sigma = self.omega_star
+        if kind is StatisticKind.AQLR:
+            if omit is None or not omit.all():
+                sigma = self._omega_adjusted
+            if self._clamped is None:
+                self._clamped = vec < 0.0
+        out = np.empty(len(vec))
+        for start in range(0, len(vec), _DRAWS_CHUNK):
+            block = slice(start, start + _DRAWS_CHUNK)
+            clamped = None if kind is StatisticKind.MMM else self._clamped[block]
+            sub = sigma if sigma.ndim == 2 else sigma[block]
+            out[block] = shifted_statistic_batch(kind, vec[block], sub, omit, clamped)
+        return out
 
     def selection_draws(self, selection: SelectionVector, kind: StatisticKind) -> np.ndarray:
         omit = selection.omitted
@@ -180,8 +221,8 @@ class _Draws:
 class AsymptoticDraws(_Draws):
     """Draws of (Omega^(1/2) Z, Omega) for iid standard normal Z and the
     sample correlation Omega, kept so that every procedure reads the same
-    draws. Omega is fixed, so its AQLR adjustment happens once; normals are
-    drawn and statistics evaluated in blocks of _ASYMPTOTIC_CHUNK rows.
+    draws. Omega is one matrix for every draw, so its AQLR adjustment
+    happens once; normals are drawn _DRAWS_CHUNK rows at a time.
     """
 
     mode = MODE_ASYMPTOTIC
@@ -191,28 +232,12 @@ class AsymptoticDraws(_Draws):
         if n_draws < 100:
             raise DomainError("asymptotic simulation needs at least 100 draws")
         factor = cholesky_factor(correlation)
-        self.correlation = correlation
         self.n_draws = n_draws
-        self.base = np.empty((n_draws, len(correlation)))
-        for start in range(0, n_draws, _ASYMPTOTIC_CHUNK):
-            take = min(_ASYMPTOTIC_CHUNK, n_draws - start)
-            self.base[start : start + take] = rng.standard_normal((take, len(correlation))) @ factor.T
-
-    @cached_property
-    def _adjusted(self) -> np.ndarray:
-        # Looked up on cmselect.statistics at call time; see _omega_adjusted.
-        from .statistics import adjusted_sigma_batch
-
-        return adjusted_sigma_batch(self.correlation[None])[0]
-
-    def statistic_draws(self, shift: np.ndarray, kind: StatisticKind, omit: np.ndarray | None = None) -> np.ndarray:
-        """Draws of S(Omega^(1/2) Z + shift, Omega); see `BootstrapDraws.statistic_draws`."""
-        sigma = self._adjusted if kind is StatisticKind.AQLR else self.correlation
-        out = np.empty(self.n_draws)
-        for start in range(0, self.n_draws, _ASYMPTOTIC_CHUNK):
-            block = slice(start, start + _ASYMPTOTIC_CHUNK)
-            out[block] = shifted_statistic_batch(kind, self.base[block] + shift, sigma, omit)
-        return out
+        self.omega_star = correlation
+        self.g_recentered_stud = np.empty((n_draws, len(correlation)))
+        for start in range(0, n_draws, _DRAWS_CHUNK):
+            take = min(_DRAWS_CHUNK, n_draws - start)
+            self.g_recentered_stud[start : start + take] = rng.standard_normal((take, len(correlation))) @ factor.T
 
 
 class BootstrapDraws(_Draws):
@@ -289,35 +314,6 @@ class BootstrapDraws(_Draws):
         self.g_recentered_stud = g_recentered_stud.T.copy()
         self.omega_star = np.moveaxis(omega_star, -1, 0).copy()
         self.rectangle_min = rectangle_min
-        # The AQLR clamped sets carried between calls; None until the first.
-        self._clamped = None
-
-    @cached_property
-    def _omega_adjusted(self) -> np.ndarray:
-        # Looked up on cmselect.statistics at call time, where the benchmark's
-        # tracer wraps it.
-        from .statistics import adjusted_sigma_batch
-
-        return adjusted_sigma_batch(self.omega_star)
-
-    def statistic_draws(self, shift: np.ndarray, kind: StatisticKind, omit: np.ndarray | None = None) -> np.ndarray:
-        """Draws of S(G* + shift, Omega*) over the valid replicates, with
-        ``shift`` finite and ``omit`` masking omitted moments.
-
-        Every AQLR call solves one QP per replicate on the same G* and
-        Omega*, so each call's final clamped sets are kept as the next
-        call's first guess (see `shifted_statistic_batch`). The first call
-        starts from the solver's default guess, the negative entries. The
-        adjusted Omega* is built on the first call that keeps a moment: with
-        every moment omitted the statistic is zero and reads no Omega.
-        """
-        vec = self.g_recentered_stud + shift
-        if kind is StatisticKind.MMM:
-            return shifted_statistic_batch(kind, vec, self.omega_star, omit)
-        if self._clamped is None:
-            self._clamped = vec < 0.0
-        sigma = self.omega_star if omit is not None and omit.all() else self._omega_adjusted
-        return shifted_statistic_batch(kind, vec, sigma, omit, self._clamped)
 
 
 def bootstrap_counts(rng: np.random.Generator, n: int, n_draws: int) -> np.ndarray:
@@ -468,8 +464,31 @@ def min_off_diagonal(correlation: np.ndarray) -> float:
 
 
 PROCEDURES = ("GMS", "CMS", "CMS_FC", "RSW", "RMS")
-# The spelling `run_test` and the command line take: lower case, "cms-fc".
+# The short spellings, the command line's: lower case, "cms-fc"; "asym", "boot".
 PROCEDURE_ALIASES = {name.lower().replace("_", "-"): name for name in PROCEDURES}
+MODE_ALIASES = {"asym": MODE_ASYMPTOTIC, "boot": MODE_BOOTSTRAP}
+
+
+def _canonical(spelling, aliases: dict, what: str) -> str:
+    if spelling in aliases.values():
+        return spelling
+    name = aliases.get(spelling.lower().replace("_", "-")) if isinstance(spelling, str) else None
+    if name is None:
+        raise DomainError(f"unknown {what} {spelling!r}")
+    return name
+
+
+def procedure_name(spelling) -> str:
+    """The name in PROCEDURES that ``spelling`` stands for: the name itself
+    or its alias, in any case and with "_" or "-" ("GMS", "gms", "CMS_FC",
+    "cms-fc", "cms_fc"). DomainError for anything else."""
+    return _canonical(spelling, PROCEDURE_ALIASES, "procedure")
+
+
+def mode_name(spelling) -> str:
+    """The draws mode that ``spelling`` stands for, as `procedure_name` reads
+    procedures: MODE_ASYMPTOTIC or MODE_BOOTSTRAP, or "asym" or "boot"."""
+    return _canonical(spelling, MODE_ALIASES, "mode")
 
 
 @dataclass(frozen=True)
@@ -606,17 +625,15 @@ def run_test(
 
     The entry point for every procedure, and the decision logic behind both
     the command line and the Monte Carlo harness; those callers only differ
-    in how they construct the sample and the random streams. The mode only
-    picks the draws object. The two-step test (rsw) is bootstrap-only and
-    rejects only when the statistic exceeds its critical value and its
-    first-stage rectangle sticks out of the nonnegative orthant; ``beta`` is
-    its first-stage level, alpha / 10 by default.
+    in how they construct the sample and the random streams. ``procedure``
+    and ``mode`` take any spelling `procedure_name` and `mode_name` read.
+    The mode only picks the draws object. The two-step test (rsw) is
+    bootstrap-only and rejects only when the statistic exceeds its critical
+    value and its first-stage rectangle sticks out of the nonnegative
+    orthant; ``beta`` is its first-stage level, alpha / 10 by default.
     """
-    name = PROCEDURE_ALIASES.get(procedure)
-    if name is None:
-        raise DomainError(f"unknown procedure {procedure!r}")
-    if mode not in (MODE_BOOTSTRAP, MODE_ASYMPTOTIC):
-        raise DomainError(f"unknown mode {mode!r}")
+    name = procedure_name(procedure)
+    mode = mode_name(mode)
     check_phi(phi)
     _check_alpha(alpha)
     if name == "RSW":

@@ -39,6 +39,7 @@ from .critical import (
     _check_alpha,
     bootstrap_counts,
     critical_values,
+    procedure_name,
     rejects,
     rsw_beta,
     upper_quantile,
@@ -88,7 +89,9 @@ def null_patterns(j: int, scheme: str = "auto") -> tuple:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a size or power experiment needs, seed included; the one
-    place its values are checked, for the command line and library alike."""
+    place its values are checked, for the command line and library alike.
+    ``procedures`` takes any spelling `procedure_name` accepts and keeps the
+    canonical names."""
 
     J: int
     family: CorrelationFamily
@@ -131,9 +134,7 @@ class ExperimentConfig:
             raise DomainError("procedures must name at least one procedure")
         if not self.statistics:
             raise DomainError("statistics must name at least one statistic")
-        for proc in self.procedures:
-            if proc not in PROCEDURES:
-                raise DomainError(f"unknown procedure {proc!r}")
+        object.__setattr__(self, "procedures", tuple(map(procedure_name, self.procedures)))
         for label, names in (("procedure", self.procedures), ("statistic", [k.value for k in self.statistics])):
             repeated = [name for i, name in enumerate(names) if name in names[:i]]
             if repeated:
@@ -479,24 +480,30 @@ def _emit_csv(result: ExperimentResult, path) -> None:
                 )
 
 
+def config_record(config: ExperimentConfig) -> dict:
+    """The JSON record of a config: the "config" object of the JSON output,
+    which `cmselect simulate --dry-run` echoes too."""
+    return {
+        "J": config.J,
+        "family": config.family.kind,
+        "rho": list(config.family.rho),
+        "n": config.n,
+        "r_mc": config.r_mc,
+        "b": config.b,
+        "alpha": config.alpha,
+        "kappa": config.kappa.spell(),
+        "procedures": list(config.procedures),
+        "statistics": [k.value for k in config.statistics],
+        "seed": config.seed,
+        "infinity_surrogate": config.infinity_surrogate,
+        "phi": config.phi,
+    }
+
+
 def _emit_json(result: ExperimentResult, path) -> None:
     payload = {
         "phase": result.phase,
-        "config": {
-            "J": result.config.J,
-            "family": result.config.family.kind,
-            "rho": list(result.config.family.rho),
-            "n": result.config.n,
-            "r_mc": result.config.r_mc,
-            "b": result.config.b,
-            "alpha": result.config.alpha,
-            "kappa": result.config.kappa.spell(),
-            "procedures": list(result.config.procedures),
-            "statistics": [k.value for k in result.config.statistics],
-            "seed": result.config.seed,
-            "infinity_surrogate": result.config.infinity_surrogate,
-            "phi": result.config.phi,
-        },
+        "config": config_record(result.config),
         "patterns": [_pattern_id(mu) for mu in result.patterns],
         "cells": {},
         "diagnostics": result.diagnostics,
@@ -522,6 +529,7 @@ __all__ = [
     "CellResult",
     "ExperimentConfig",
     "ExperimentResult",
+    "config_record",
     "corrections_from",
     "default_replications",
     "emit",

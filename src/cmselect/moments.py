@@ -238,14 +238,7 @@ def _read_records(text: str) -> np.ndarray:
     end = 0  # the file line on which the previous record ended
     for record in reader:
         lineno, end = end + 1, reader.line_num
-        try:
-            parsed = [float(cell) for cell in record]
-        except ValueError:
-            parsed = None
-        if parsed is None or not all(map(math.isfinite, parsed)):
-            # Only a row that fails the one-call conversion comes here:
-            # blank, the header, or the cell to report.
-            parsed = _parse_record(record, lineno)
+        parsed = _parse_record(record, lineno)
         if not parsed:
             continue
         if width is None:

@@ -150,7 +150,5 @@ def check_phi(phi) -> None:
 
 def phi_k(k: int, xi: np.ndarray) -> SelectionVector:
     """Dispatch on the selection-function number, a key of SELECTIONS."""
-    select = SELECTIONS.get(k)
-    if select is None:
-        raise DomainError(f"unknown selection function index {k}")
-    return select(xi)
+    check_phi(k)
+    return SELECTIONS[k](xi)

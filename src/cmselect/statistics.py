@@ -13,8 +13,9 @@ entry to infinity.
 
 The quadratic-form statistic reads Sigma after the determinant adjustment of
 Andrews and Barwick (2012), one routine for every caller,
-`adjusted_sigma_batch`: the statistic on data and the asymptotic draws pass
-a batch of one, the bootstrap draws their whole (B, J, J) stack. Its
+`adjusted_sigma_batch`: the statistic on data passes a batch of one, and
+the draws objects' one adjusted Omega (`critical._Draws`) the asymptotic
+correlation as a batch of one or the whole bootstrap (B, J, J) stack. Its
 determinant, `correlation_det`, is one unpivoted LDL^T factorization run
 across the stack on moment-major rows, not a LAPACK LU per matrix.
 """

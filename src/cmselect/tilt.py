@@ -75,20 +75,6 @@ class TiltResult:
         }
 
 
-def feasible(sample: MomentSample) -> bool:
-    """Whether any probability vector on the simplex satisfies all constraints.
-
-    A column whose entries are all negative rules feasibility out immediately;
-    otherwise a phase-one linear program decides.
-    """
-    g = sample.values
-    if np.any(g.max(axis=0) < 0.0):
-        return False
-    if np.all(g.mean(axis=0) >= 0.0):
-        return True
-    return _phase_one(g)
-
-
 def _phase_one(g: np.ndarray) -> bool:
     # Imported here: the LP runs only to classify a diverging dual solve, so
     # the common path never loads scipy.
@@ -144,17 +130,13 @@ def _uniform_result(sample: MomentSample, mean: np.ndarray) -> TiltResult:
     n, j = g.shape
     centered = g - mean
     cov = centered.T @ centered / n
-    sd = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    binding = frozenset(
-        int(k) for k in range(j) if abs(mean[k]) <= _BINDING_TOL * (1.0 + sd[k])
-    )
     return TiltResult(
         status="Solved",
         probabilities=np.full(n, 1.0 / n),
         multipliers=np.zeros(j),
         tilted_mean=mean.copy(),
         tilted_cov=cov,
-        binding_set=binding,
+        binding_set=_binding_set(mean, np.sqrt(np.maximum(np.diag(cov), 0.0))),
         objective=float(-n * np.log(n)),
         iterations=0,
         kkt_residual=0.0,
@@ -171,15 +153,7 @@ def _dual_newton(g: np.ndarray):
     h_val = 0.0
 
     for iteration in range(1, _MAX_ITER + 1):
-        p_raw = 1.0 / (n * u)
-        moments = p_raw @ g
-        # The mass residual guards against divergence: off the optimum the raw
-        # probabilities need not sum to one, and a runaway lambda shrinks all
-        # of them (and the moment residual) toward zero. The factor n keeps
-        # the duality gap, which is n times the log mass defect, inside the
-        # same tolerance.
-        mass = 2.0 * n * scale * abs(p_raw.sum() - 1.0)
-        residual = max(_kkt_residual(lam, moments, tol), mass)
+        residual, moments = _residual(g, lam, u, tol, scale)
         if residual <= tol:
             return lam, iteration - 1, residual
 
@@ -206,12 +180,7 @@ def _dual_newton(g: np.ndarray):
             candidate = np.minimum(lam + direction, 0.0)
             u_cand = 1.0 + g @ candidate
             if np.min(u_cand) > 0.0:
-                p_cand = 1.0 / (n * u_cand)
-                m_cand = p_cand @ g
-                r_cand = max(
-                    _kkt_residual(candidate, m_cand, tol),
-                    2.0 * n * scale * abs(p_cand.sum() - 1.0),
-                )
+                r_cand = _residual(g, candidate, u_cand, tol, scale)[0]
                 if r_cand < residual:
                     found = (candidate, u_cand, float(np.sum(np.log(u_cand))))
         if found is None:
@@ -226,10 +195,7 @@ def _dual_newton(g: np.ndarray):
             # has no interior point. Bail out and let the caller classify.
             raise NoConvergence("EL dual diverged; primal likely infeasible")
 
-    p_raw = 1.0 / (n * u)
-    moments = p_raw @ g
-    mass = 2.0 * n * scale * abs(p_raw.sum() - 1.0)
-    residual = max(_kkt_residual(lam, moments, tol), mass)
+    residual = _residual(g, lam, u, tol, scale)[0]
     if residual <= max(tol, 1e-8 * scale):
         return lam, _MAX_ITER, residual
     raise NoConvergence(
@@ -259,17 +225,29 @@ def _line_search(g, lam, h_val, grad, direction):
     return None
 
 
-def _kkt_residual(lam: np.ndarray, moments: np.ndarray, tol: float) -> float:
+def _residual(g: np.ndarray, lam: np.ndarray, u: np.ndarray, tol: float, scale: float):
+    """(KKT residual, raw tilted moments) at multipliers ``lam``, where
+    u = 1 + g lam."""
+    n = g.shape[0]
+    p_raw = 1.0 / (n * u)
+    moments = p_raw @ g
     # Binding coordinates need a zero tilted moment, slack ones a nonnegative
     # moment; the multiplier sign is enforced by the projection.
     at_bound = lam >= -tol
     per_coord = np.where(at_bound, np.maximum(-moments, 0.0), np.abs(moments))
-    return float(per_coord.max()) if per_coord.size else 0.0
+    kkt = float(per_coord.max()) if per_coord.size else 0.0
+    # The mass residual guards against divergence: off the optimum the raw
+    # probabilities need not sum to one, and a runaway lambda shrinks all of
+    # them (and the moment residual) toward zero. The factor n keeps the
+    # duality gap, which is n times the log mass defect, inside the same
+    # tolerance.
+    mass = 2.0 * n * scale * abs(p_raw.sum() - 1.0)
+    return max(kkt, mass), moments
 
 
 def _build_result(sample: MomentSample, lam: np.ndarray, iterations: int, residual: float):
     g = sample.values
-    n, j = g.shape
+    n = g.shape[0]
     u = 1.0 + g @ lam
     p_raw = 1.0 / (n * u)
     total = float(p_raw.sum())
@@ -280,20 +258,19 @@ def _build_result(sample: MomentSample, lam: np.ndarray, iterations: int, residu
     tilted_cov = (centered * probabilities[:, None]).T @ centered
     tilted_cov = 0.5 * (tilted_cov + tilted_cov.T)
 
-    sample_sd = g.std(axis=0)
-    binding = frozenset(
-        int(k)
-        for k in range(j)
-        if abs(tilted_mean[k]) <= _BINDING_TOL * (1.0 + sample_sd[k])
-    )
     return TiltResult(
         status="Solved",
         probabilities=probabilities,
         multipliers=np.minimum(lam, 0.0),
         tilted_mean=tilted_mean,
         tilted_cov=tilted_cov,
-        binding_set=binding,
+        binding_set=_binding_set(tilted_mean, g.std(axis=0)),
         objective=float(np.sum(np.log(probabilities))),
         iterations=iterations,
         kkt_residual=residual,
     )
+
+
+def _binding_set(mean: np.ndarray, sd: np.ndarray) -> frozenset:
+    """Columns whose (tilted) mean is zero up to _BINDING_TOL * (1 + sd)."""
+    return frozenset(int(k) for k in np.nonzero(np.abs(mean) <= _BINDING_TOL * (1.0 + sd))[0])

@@ -6,7 +6,7 @@ import pytest
 
 from cmselect import StatisticKind, load_csv, run_test
 from cmselect.cli import load_config, main
-from cmselect.critical import seeded_counts
+from cmselect.critical import mode_name, procedure_name, seeded_counts
 
 
 def write_sample(path, values):
@@ -83,6 +83,20 @@ class TestCmdTest:
             main([command, str(positive_csv), "--seed", "-1"])
         assert exit_info.value.code == 2
         assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("procedure, mode", [("GMS", "boot"), ("cms_fc", "ASYM"), ("CMS-FC", "Bootstrap")])
+    def test_every_procedure_and_mode_spelling(self, violated_csv, capsys, procedure, mode):
+        code = main(["test", str(violated_csv), "--draws", "200", "--procedure", procedure, "--mode", mode])
+        decision = run_test(
+            load_csv(violated_csv), StatisticKind.AQLR, procedure_name(procedure), mode=mode_name(mode), n_draws=200
+        )
+        assert capsys.readouterr().out == json.dumps(decision.to_dict(), indent=2) + "\n"
+        assert code == int(decision.reject)
+
+    @pytest.mark.parametrize("flag, value", [("--procedure", "cms fc"), ("--mode", "gms")])
+    def test_unknown_spelling_exits_two(self, positive_csv, capsys, flag, value):
+        assert main(["test", str(positive_csv), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: unknown {flag[2:]} {value!r}\n"
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["test", str(tmp_path / "nope.csv")]) == 2
@@ -173,6 +187,14 @@ class TestCmdInvert:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert [p["theta_id"] for p in payload["points"]] == ["a", "b"]
+
+    def test_manifest_with_a_byte_order_mark(self, tmp_path, capsys):
+        # A spreadsheet may save the manifest with a UTF-8 byte-order mark.
+        [path] = self.make_grid(tmp_path, [1.0])
+        manifest = tmp_path / "grid.csv"
+        manifest.write_bytes("\ufefftheta_id,path\na,{}\n".format(path.split("/")[-1]).encode("utf-8"))
+        assert main(["invert", "--grid", str(manifest), "--draws", "200", "--statistic", "mmm"]) == 0
+        assert [p["theta_id"] for p in json.loads(capsys.readouterr().out)["points"]] == ["a"]
 
     def test_manifest_row_without_a_path_cell_exits_two(self, tmp_path, capsys):
         [path] = self.make_grid(tmp_path, [1.0])
@@ -287,6 +309,39 @@ class TestCmdSimulate:
         assert payload["r_mc"] == 2000
         assert payload["b"] == 1000
         assert payload["null_patterns"] == 3
+
+    def test_dry_run_echoes_the_json_outputs_config(self, sim_config, tmp_path, capsys):
+        flags = ["--r-mc", "4", "--b", "100", "--seed", "7"]
+        assert main(["simulate", str(sim_config), *flags, "--dry-run"]) == 0
+        echo = json.loads(capsys.readouterr().out)
+        out = tmp_path / "echoed"
+        assert main(["simulate", str(sim_config), *flags, "--output", str(out), "--format", "json"]) == 0
+        capsys.readouterr()
+        config = json.loads((tmp_path / "echoed_mnrp.json").read_text())["config"]
+        extras = {"null_patterns": 3, "alternatives": 0, "phases": ["mnrp"], "threads": 1}
+        assert echo == config | extras
+        assert list(echo) == [*config, *extras]
+
+    def test_spelled_procedures_run_as_their_canonical_names(self, sim_config, tmp_path, capsys):
+        written = {}
+        for name, procedures in (("canonical", ["GMS", "CMS_FC"]), ("spelled", ["gms", "cms-fc"])):
+            config = json.loads(sim_config.read_text()) | {"procedures": procedures}
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            assert main(["simulate", str(path), "--r-mc", "4", "--b", "100", "--output", str(tmp_path / name),
+                         "--format", "json"]) == 0
+            written[name] = (tmp_path / f"{name}_mnrp.json").read_text()
+        capsys.readouterr()
+        assert written["spelled"] == written["canonical"]
+
+    @pytest.mark.parametrize("key", ["J", "n"])
+    def test_missing_required_key_is_named(self, tmp_path, capsys, key):
+        config = {"J": 2, "family": "Neg", "n": 50}
+        del config[key]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", str(path), "--dry-run"]) == 2
+        assert capsys.readouterr().err == f"error: missing config key {key!r}\n"
 
     def test_run_writes_outputs_and_is_deterministic(self, sim_config, tmp_path, capsys):
         out = tmp_path / "exp"

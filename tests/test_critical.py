@@ -26,15 +26,18 @@ from cmselect.critical import (
     MODE_ASYMPTOTIC,
     MODE_BOOTSTRAP,
     PROCEDURE_ALIASES,
+    PROCEDURES,
     bootstrap_counts,
     critical_values,
     min_off_diagonal,
+    mode_name,
+    procedure_name,
     rsw_critical_value,
     seeded_counts,
     selection_step,
 )
 from cmselect.selection import KappaSchedule
-from cmselect.statistics import shifted_statistic_batch
+from cmselect.statistics import adjusted_sigma_batch, shifted_statistic_batch
 from cmselect.streams import ASYMPTOTIC, BOOTSTRAP, substream
 from oracles import replicate_major_draws
 
@@ -116,6 +119,26 @@ class TestAsymptotic:
         sample = normal_sample(40, 2, 4)
         with pytest.raises(DomainError):
             AsymptoticDraws(summarize(sample).correlation, 50, substream(0, ASYMPTOTIC))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([2, 4, 10]),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.lists(st.sampled_from([0.0, 0.0, 0.4, 1.5, np.inf]), min_size=10, max_size=10), min_size=3, max_size=3),
+    )
+    def test_warm_aqlr_draws_equal_a_cold_solve(self, j, seed, selections):
+        # Every call after the first starts from the clamped sets the last
+        # one left; its draws are still those of a cold solve, byte for byte.
+        summary = summarize(normal_sample(80, j, seed % 1000, shift=-0.1))
+        draws = AsymptoticDraws(summary.correlation, 300, substream(seed, ASYMPTOTIC))
+        sigma = adjusted_sigma_batch(summary.correlation[None])[0]
+        for shifts in selections:
+            selection = SelectionVector(np.array(shifts[:j]))
+            omit = selection.omitted
+            shift = np.where(omit, 0.0, selection.shifts)
+            warm = draws.selection_draws(selection, StatisticKind.AQLR)
+            cold = shifted_statistic_batch(StatisticKind.AQLR, draws.g_recentered_stud + shift, sigma, omit)
+            assert warm.tobytes() == cold.tobytes()
 
 
 def nested_selection_pair(rng, j):
@@ -704,6 +727,31 @@ class TestRunTest:
         sample = normal_sample(30, 2, 61)
         with pytest.raises(DomainError):
             run_test(sample, StatisticKind.MMM, "subsampling")
+
+    def test_every_spelling_names_one_procedure_or_mode(self):
+        for name in PROCEDURES:
+            for spelling in (name, name.lower(), name.lower().replace("_", "-"), name.replace("_", "-")):
+                assert procedure_name(spelling) == name
+        for mode, alias in ((MODE_ASYMPTOTIC, "asym"), (MODE_BOOTSTRAP, "boot")):
+            assert mode_name(mode) == mode_name(alias) == mode_name(alias.upper()) == mode
+        for unknown in ("cms fc", "boot", "", 3, None):
+            with pytest.raises(DomainError, match="unknown procedure"):
+                procedure_name(unknown)
+        for unknown in ("gms", "bootstrap-sim", None):
+            with pytest.raises(DomainError, match="unknown mode"):
+                mode_name(unknown)
+
+    @pytest.mark.parametrize(
+        "procedure, mode",
+        [("GMS", "boot"), ("cms_fc", "asym"), ("CMS-FC", MODE_ASYMPTOTIC), ("Rsw", "Bootstrap")],
+    )
+    def test_run_test_reads_every_spelling(self, procedure, mode):
+        sample = normal_sample(40, 2, 66, shift=-0.3)
+        canonical = run_test(
+            sample, StatisticKind.AQLR, procedure_name(procedure), mode=mode_name(mode), n_draws=200, seed=1
+        )
+        spelled = run_test(sample, StatisticKind.AQLR, procedure, mode=mode, n_draws=200, seed=1)
+        assert spelled.to_dict() == canonical.to_dict()
 
     def test_unknown_mode_rejected_for_every_procedure(self):
         sample = normal_sample(30, 2, 62)

@@ -146,6 +146,20 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match="phi"):
             small_config(phi=phi)
 
+    def test_procedures_are_stored_by_their_canonical_names(self):
+        config = small_config(procedures=("gms", "cms-fc", "Cms", "rsw"))
+        assert config.procedures == ("GMS", "CMS_FC", "CMS", "RSW")
+        assert small_config(procedures=("cms_fc", "RSW")) == small_config(procedures=("CMS_FC", "RSW"))
+
+    @pytest.mark.parametrize("procedures", [("GMS", "gms"), ("cms-fc", "CMS_FC"), ("cms_fc", "cms-fc")])
+    def test_a_spelling_and_its_canonical_name_are_a_repeat(self, procedures):
+        with pytest.raises(DomainError, match="is listed twice"):
+            small_config(procedures=procedures)
+
+    def test_rejects_an_unknown_procedure(self):
+        with pytest.raises(DomainError, match="unknown procedure 'boot'"):
+            small_config(procedures=("GMS", "boot"))
+
     @pytest.mark.parametrize("pattern", [(-INF, 0.0), (0.0, -INF)])
     def test_rejects_minus_infinity_in_a_null_pattern(self, pattern):
         with pytest.raises(DomainError, match=r"0 and \+inf"):

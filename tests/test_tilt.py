@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmselect import MomentSample, feasible, summarize, tilt
+from cmselect import MomentSample, summarize, tilt
 from cmselect.critical import selection_step
 from cmselect.harness import simulate_sample
 from cmselect.moments import CorrelationFamily
@@ -54,19 +54,21 @@ def test_infeasible_column():
 
 
 class TestFeasible:
+    # `tilt`'s status is the feasibility verdict.
     def test_binding_case(self):
-        assert feasible(MomentSample(np.array([[-2.0], [1.0]])))
+        assert tilt(MomentSample(np.array([[-2.0], [1.0]]))).status == "Solved"
 
     def test_all_negative_column(self):
-        assert not feasible(MomentSample(np.array([[-2.0], [-1.0]])))
+        assert tilt(MomentSample(np.array([[-2.0], [-1.0]]))).status == "Infeasible"
 
     def test_nonnegative_mean(self):
-        assert feasible(MomentSample(np.array([[1.0], [2.0]])))
+        assert tilt(MomentSample(np.array([[1.0], [2.0]]))).status == "Solved"
 
     def test_needs_lp_to_decide(self):
-        # each column has a positive entry, yet no simplex point satisfies both
+        # Each column has a positive entry, yet no simplex point satisfies
+        # both: the dual diverges and the phase-one LP classifies it.
         g = np.array([[1.0, -3.0], [-3.0, 1.0]])
-        assert not feasible(MomentSample(g))
+        assert tilt(MomentSample(g)).status == "Infeasible"
 
 
 def _random_feasible_instances(count, seed=0):
