@@ -15,7 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from .critical import MODE_ALIASES, PROCEDURE_ALIASES, RmsTables, mode_name, procedure_name, run_test
+from .critical import (
+    MODE_ALIASES, PROCEDURE_ALIASES, STATISTIC_ALIASES, RmsTables, mode_name, procedure_name, run_test, statistic_kind
+)
 from .errors import CmselectError
 from .harness import (
     CORRECTED_PROCEDURES,
@@ -31,7 +33,6 @@ from .harness import (
 from .heap import retain_freed_buffers
 from .moments import CorrelationFamily, load_csv
 from .selection import SELECTIONS, KappaSchedule
-from .statistics import StatisticKind
 
 
 def _typed(kind):
@@ -62,8 +63,7 @@ _CONVERTERS = {
     "infinity_surrogate": _real,
     "beta": lambda value: None if value is None else _real(value),
     "kappa": KappaSchedule.parse,
-    "procedures": lambda names: tuple(_list(names)),
-    "statistics": lambda names: tuple(map(StatisticKind, _list(names))),
+    "procedures": _list, "statistics": _list,
     "retain_critical_values": _typed(bool),
 }
 # Every top-level key `load_config` reads; any other key is rejected.
@@ -83,7 +83,7 @@ def _seed(text: str) -> int:
 
 
 def _shared_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--statistic", choices=["mmm", "aqlr"], default="aqlr")
+    parser.add_argument("--statistic", type=statistic_kind, default="aqlr", help=", ".join(STATISTIC_ALIASES))
     parser.add_argument("--procedure", type=procedure_name, default="cms", help=", ".join(PROCEDURE_ALIASES))
     parser.add_argument("--phi", type=int, choices=list(SELECTIONS), default=1)
     parser.add_argument("--kappa", default="sqrt-log-n", help="sqrt-log-n, sqrt-2loglogn, fixed:<v>")
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _decision_kwargs(args) -> dict:
     tables = RmsTables.from_json(args.rms_tables) if args.rms_tables else None
     return {
-        "kind": StatisticKind(args.statistic),
+        "kind": args.statistic,
         "procedure": args.procedure,
         "phi": args.phi,
         "schedule": KappaSchedule.parse(args.kappa),
@@ -338,8 +338,8 @@ def cmd_simulate(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        # Inside the try: --procedure and --mode raise DomainError on a
-        # spelling `procedure_name` or `mode_name` does not read.
+        # Inside the try: --statistic, --procedure and --mode raise
+        # DomainError on a spelling their converter does not read.
         args = parser.parse_args(argv)
         retain_freed_buffers()
         if args.command == "test":

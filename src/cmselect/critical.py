@@ -464,12 +464,13 @@ def min_off_diagonal(correlation: np.ndarray) -> float:
 
 
 PROCEDURES = ("GMS", "CMS", "CMS_FC", "RSW", "RMS")
-# The short spellings, the command line's: lower case, "cms-fc"; "asym", "boot".
+# The short spellings, the command line's: lower case, "cms-fc"; "asym", "boot"; "mmm", "aqlr".
 PROCEDURE_ALIASES = {name.lower().replace("_", "-"): name for name in PROCEDURES}
 MODE_ALIASES = {"asym": MODE_ASYMPTOTIC, "boot": MODE_BOOTSTRAP}
+STATISTIC_ALIASES = {kind.value: kind for kind in StatisticKind}
 
 
-def _canonical(spelling, aliases: dict, what: str) -> str:
+def _canonical(spelling, aliases: dict, what: str):
     if spelling in aliases.values():
         return spelling
     name = aliases.get(spelling.lower().replace("_", "-")) if isinstance(spelling, str) else None
@@ -489,6 +490,12 @@ def mode_name(spelling) -> str:
     """The draws mode that ``spelling`` stands for, as `procedure_name` reads
     procedures: MODE_ASYMPTOTIC or MODE_BOOTSTRAP, or "asym" or "boot"."""
     return _canonical(spelling, MODE_ALIASES, "mode")
+
+
+def statistic_kind(spelling) -> StatisticKind:
+    """The StatisticKind that ``spelling`` stands for, as `procedure_name`
+    reads procedures: the member itself, or "mmm" or "aqlr" in any case."""
+    return _canonical(spelling, STATISTIC_ALIASES, "statistic")
 
 
 @dataclass(frozen=True)
@@ -625,13 +632,14 @@ def run_test(
 
     The entry point for every procedure, and the decision logic behind both
     the command line and the Monte Carlo harness; those callers only differ
-    in how they construct the sample and the random streams. ``procedure``
-    and ``mode`` take any spelling `procedure_name` and `mode_name` read.
-    The mode only picks the draws object. The two-step test (rsw) is
+    in how they construct the sample and the random streams. ``kind``,
+    ``procedure`` and ``mode`` take any spelling `statistic_kind`,
+    `procedure_name` and `mode_name` read. The mode only picks the draws object. The two-step test (rsw) is
     bootstrap-only and rejects only when the statistic exceeds its critical
     value and its first-stage rectangle sticks out of the nonnegative
     orthant; ``beta`` is its first-stage level, alpha / 10 by default.
     """
+    kind = statistic_kind(kind)
     name = procedure_name(procedure)
     mode = mode_name(mode)
     check_phi(phi)

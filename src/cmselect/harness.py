@@ -42,6 +42,7 @@ from .critical import (
     procedure_name,
     rejects,
     rsw_beta,
+    statistic_kind,
     upper_quantile,
 )
 from .errors import CmselectError, DomainError, MissingBaseline
@@ -90,8 +91,8 @@ def null_patterns(j: int, scheme: str = "auto") -> tuple:
 class ExperimentConfig:
     """Everything a size or power experiment needs, seed included; the one
     place its values are checked, for the command line and library alike.
-    ``procedures`` takes any spelling `procedure_name` accepts and keeps the
-    canonical names."""
+    ``procedures`` and ``statistics`` take any spelling `procedure_name` and
+    `statistic_kind` accept and keep the canonical names and members."""
 
     J: int
     family: CorrelationFamily
@@ -135,6 +136,7 @@ class ExperimentConfig:
         if not self.statistics:
             raise DomainError("statistics must name at least one statistic")
         object.__setattr__(self, "procedures", tuple(map(procedure_name, self.procedures)))
+        object.__setattr__(self, "statistics", tuple(map(statistic_kind, self.statistics)))
         for label, names in (("procedure", self.procedures), ("statistic", [k.value for k in self.statistics])):
             repeated = [name for i, name in enumerate(names) if name in names[:i]]
             if repeated:
@@ -186,7 +188,6 @@ class ExperimentResult:
     cells: dict  # (procedure, statistic-name) -> CellResult
     diagnostics: dict = field(default_factory=dict)
     corrections: dict = field(default_factory=dict)
-    retained_critical_values: dict = field(default_factory=dict)
 
     def cell(self, procedure: str, kind: StatisticKind) -> CellResult:
         return self.cells[(procedure, kind.value)]
@@ -407,10 +408,6 @@ def run_power(config: ExperimentConfig, corrections: dict | None = None) -> Expe
     raw = _run_phase(config, scaled, PHASE_POWER)
     cells, diagnostics = _tabulate(config, raw, corrections)
     diagnostics.update(_ordering_diagnostics(config, raw))
-    retained = {}
-    if config.retain_critical_values:
-        retained = {key: cell.critical_values for key, cell in cells.items()}
-
     return ExperimentResult(
         config=config,
         phase="power",
@@ -418,7 +415,6 @@ def run_power(config: ExperimentConfig, corrections: dict | None = None) -> Expe
         cells=cells,
         diagnostics=diagnostics,
         corrections={f"{k[0]}-{k[1]}": v for k, v in corrections.items()},
-        retained_critical_values=retained,
     )
 
 
@@ -519,8 +515,9 @@ def _emit_json(result: ExperimentResult, path) -> None:
             entry["mnrp"] = cell.mnrp
             entry["mnrp_pattern"] = _pattern_id(result.patterns[cell.mnrp_pattern])
         payload["cells"][f"{proc}-{kind}"] = entry
-    for (proc, kind), cvs in result.retained_critical_values.items():
-        payload["cells"][f"{proc}-{kind}"]["critical_value_samples"] = cvs.ravel().tolist()
+    if result.phase == "power" and result.config.retain_critical_values:
+        for (proc, kind), cell in result.cells.items():
+            payload["cells"][f"{proc}-{kind}"]["critical_value_samples"] = cell.critical_values.ravel().tolist()
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
 

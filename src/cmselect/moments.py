@@ -96,7 +96,8 @@ class CorrelationFamily:
 
     ``kind`` is one of "Neg", "Zero", "Pos" with the first-row correlations
     fixed for J in {2, 4, 10}, or "Custom" with user-supplied ``rho`` of
-    length J-1.
+    length J-1. Construction raises NotPositiveDefinite unless the Toeplitz
+    matrix passes a Cholesky factorization.
     """
 
     kind: str
@@ -119,8 +120,8 @@ class CorrelationFamily:
             object.__setattr__(self, "rho", (0.0,) * (self.J - 1))
         elif self.kind == "Custom":
             rho = tuple(float(r) for r in self.rho)
-            if len(rho) != self.J - 1:
-                raise ValueError("Custom family needs rho of length J-1")
+            if len(rho) != self.J - 1 or not all(map(math.isfinite, rho)):
+                raise ValueError("Custom family needs rho of J-1 finite values")
             object.__setattr__(self, "rho", rho)
         elif self.kind in ("Neg", "Pos"):
             key = (self.kind, self.J)
@@ -129,6 +130,10 @@ class CorrelationFamily:
             object.__setattr__(self, "rho", self._BUILTIN[key])
         else:
             raise ValueError(f"unknown correlation family kind {self.kind!r}")
+        try:
+            np.linalg.cholesky(make_toeplitz(self))
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite(f"Toeplitz matrix for {self.kind}, J={self.J} is not PD")
 
 
 def summarize(sample: MomentSample) -> MomentSummary:
@@ -164,18 +169,11 @@ def summarize(sample: MomentSample) -> MomentSummary:
 
 
 def make_toeplitz(family: CorrelationFamily) -> np.ndarray:
-    """Build the symmetric Toeplitz correlation matrix with first row (1, rho...).
-
-    Raises NotPositiveDefinite if the result fails a Cholesky factorization.
-    """
+    """The symmetric Toeplitz correlation matrix with first row (1, rho...),
+    positive definite since `CorrelationFamily` checks it on construction."""
     first_row = np.concatenate(([1.0], np.asarray(family.rho, dtype=float)))
     idx = np.abs(np.subtract.outer(np.arange(family.J), np.arange(family.J)))
-    matrix = first_row[idx]
-    try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"Toeplitz matrix for {family.kind}, J={family.J} is not PD")
-    return matrix
+    return first_row[idx]
 
 
 def cholesky_factor(matrix: np.ndarray) -> np.ndarray:

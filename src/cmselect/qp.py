@@ -1,23 +1,23 @@
 """Quadratic programming over the nonnegative orthant.
 
 Solves min_{t >= 0} (v - t)' W (v - t) with W symmetric positive definite.
-Two implementations share this module:
 
-* `nonneg_projection_batch` solves a stack of independent instances
-  simultaneously: the statistic on data (a batch of one) and the
-  critical-value simulations (one instance per simulation or bootstrap
-  draw). It pivots on the complementarity system in Sigma = W^(-1) directly
-  (block principal pivoting, Judice & Pires 1994, with a Murty single-pivot
-  fallback), so no inverse is ever formed. Each instance's result is the
-  masked K-by-K solve of the round that certifies its final clamped set, so
-  it depends on that set alone: a caller that knows a likely clamped set
-  (the previous solve on the same draws) passes it as ``start`` and saves
-  rounds without changing a byte.
+* `nonneg_projection_batch`, the one solver every statistic goes through,
+  solves a stack of independent instances simultaneously: the statistic on
+  data (a batch of one) and the critical-value simulations (one instance per
+  simulation or bootstrap draw). It pivots on the complementarity system in
+  Sigma = W^(-1) directly (block principal pivoting, Judice & Pires 1994,
+  with Murty's least-index single pivot), so no inverse is ever formed.
+  Each instance's result is the masked K-by-K solve of the round that
+  certifies its final clamped set, so it depends on that set alone: a
+  caller that knows a likely clamped set (the previous solve on the same
+  draws) passes it as ``start`` and saves rounds without changing a byte.
+  An instance unfinished at the round cap raises QPNoConvergence.
 
 * `nonneg_projection` is a textbook primal active-set method in W that
-  re-solves the free block at every working-set change. It is the batch
-  solver's fallback for an instance that pivoting cannot finish, and the
-  oracle the batch solver is tested against.
+  re-solves the free block at every working-set change; `inverse_spd` forms
+  W from Sigma. No production path calls them: they are the tests' oracle,
+  and perfbench's tracer wraps `nonneg_projection` by name.
 
 Both return the optimal point and value; KKT conditions of the returned point
 are checkable by the caller (the gradient is 2 W (t - v)). The module needs
@@ -31,8 +31,9 @@ import numpy as np
 from .errors import QPNoConvergence, SingularCovariance
 
 _KKT_TOL = 1e-10
-# Consecutive full-exchange rounds without progress before the batch solver
-# drops to single-index pivoting, which terminates for P-matrices.
+# Rounds in a row without a new fewest violation count before the batch solver
+# drops to single-index pivoting, which terminates for P-matrices; only a new
+# fewest count brings full exchanges back, so the two cannot cycle.
 _FULL_EXCHANGE_PATIENCE = 3
 
 
@@ -108,8 +109,9 @@ def nonneg_projection_batch(
     complementarity system t = v + Sigma s, t >= 0, s >= 0, t's = 0, whose
     pivoting rounds solve only in the clamped block. ``sigma`` has shape
     (B, K, K) or (K, K) (broadcast); ``v`` has shape (B, K). Returns
-    (t, value) with shapes (B, K) and (B,). Instances the pivoting scheme
-    cannot finish are re-solved one at a time with the reference solver.
+    (t, value) with shapes (B, K) and (B,). Raises QPNoConvergence when any
+    instance is unfinished after ``max_iter`` rounds (default 50 per
+    dimension), and SingularCovariance when a clamped block is singular.
 
     ``start`` is an optional (B, K) boolean first guess of each instance's
     clamped set, left unmodified; the default is ``v < 0``. An instance with
@@ -136,7 +138,7 @@ def nonneg_projection_batch(
     t = v.copy()
     s = np.zeros_like(t)
     stalled = np.zeros(batch, dtype=int)
-    prev_violations = np.full(batch, k + 1, dtype=int)
+    fewest_violations = np.full(batch, k + 1, dtype=int)
     # Each coordinate's KKT test is relative to its own |v_j|, so one very
     # slack coordinate cannot loosen the test on the others.
     tol = _KKT_TOL * (1.0 + np.abs(v))
@@ -174,9 +176,9 @@ def nonneg_projection_batch(
         pending = ~newly_done
         if pending.any():
             pid = idx[pending]
-            progressed = n_bad[pending] < prev_violations[pid]
+            progressed = n_bad[pending] < fewest_violations[pid]
             stalled[pid] = np.where(progressed, 0, stalled[pid] + 1)
-            prev_violations[pid] = n_bad[pending]
+            fewest_violations[pid] = np.minimum(n_bad[pending], fewest_violations[pid])
 
             flip = bad[pending]
             single = stalled[pid] >= _FULL_EXCHANGE_PATIENCE
@@ -188,6 +190,10 @@ def nonneg_projection_batch(
                 flip[single] = restricted
             clamped[pid] ^= flip
 
+    if not done.all():
+        raise QPNoConvergence(
+            f"batch QP left {int(np.count_nonzero(~done))} of {batch} instances unfinished after {max_iter} rounds"
+        )
     # At the solution v - t = -Sigma s, so the objective collapses to -v's,
     # summed left to right over the coordinates. numpy's own row sum adds a
     # C-ordered row pairwise and an F-ordered one left to right, so a fixed
@@ -198,12 +204,6 @@ def nonneg_projection_batch(
         values += products[:, j]
     np.negative(values, out=values)
     np.maximum(values, 0.0, out=values)
-
-    if not done.all():
-        for b in np.nonzero(~done)[0]:
-            t_b, val_b = nonneg_projection(inverse_spd(sigma[b]), v[b])
-            t[b] = t_b
-            values[b] = val_b
     return t, values
 
 

@@ -104,19 +104,14 @@ def phi1(xi: np.ndarray) -> SelectionVector:
     return SelectionVector(np.where(xi > 1.0, np.inf, 0.0), source="phi1")
 
 
-def phi2(xi: np.ndarray, lower: float = 1.0, upper: float = 2.0, ceiling: float = 10.0) -> SelectionVector:
-    """Interpolated threshold: 0 up to ``lower``, +inf from ``upper``.
+def phi2(xi: np.ndarray) -> SelectionVector:
+    """Interpolated threshold: 0 up to xi_j = 1, +inf from xi_j = 2.
 
-    Between the knots the shift rises linearly to ``ceiling``; any
-    nondecreasing bridge is admissible and linear is the simplest.
+    Between the knots the shift rises linearly to 10; any nondecreasing
+    bridge is admissible and linear is the simplest.
     """
-    if not (lower < upper):
-        raise DomainError("phi2 needs lower < upper")
-    if ceiling < 0:
-        raise DomainError("phi2 ceiling must be nonnegative")
     xi = np.asarray(xi, dtype=float)
-    ramp = ceiling * (xi - lower) / (upper - lower)
-    shifts = np.where(xi <= lower, 0.0, np.where(xi >= upper, np.inf, ramp))
+    shifts = np.where(xi <= 1.0, 0.0, np.where(xi >= 2.0, np.inf, 10.0 * (xi - 1.0)))
     return SelectionVector(shifts, source="phi2")
 
 

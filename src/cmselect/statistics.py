@@ -9,7 +9,9 @@ one at g = sqrt(n) * mean with Sigma the divisor-n covariance. A boolean
 ``omit`` mask marks the moments omitted from the computation: they contribute
 zero to the sum statistic and are deleted (row and column) before the
 quadratic-form statistic is solved, which reproduces the limit of sending the
-entry to infinity.
+entry to infinity. `qp.nonneg_projection_batch` alone solves the quadratic
+programs (QPNoConvergence at its round cap); `qp.nonneg_projection` is only
+the tests' oracle.
 
 The quadratic-form statistic reads Sigma after the determinant adjustment of
 Andrews and Barwick (2012), one routine for every caller,

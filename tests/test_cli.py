@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -93,7 +94,16 @@ class TestCmdTest:
         assert capsys.readouterr().out == json.dumps(decision.to_dict(), indent=2) + "\n"
         assert code == int(decision.reject)
 
-    @pytest.mark.parametrize("flag, value", [("--procedure", "cms fc"), ("--mode", "gms")])
+    @pytest.mark.parametrize("statistic", ["MMM", "Aqlr"])
+    def test_every_statistic_spelling(self, violated_csv, capsys, statistic):
+        code = main(["test", str(violated_csv), "--draws", "200", "--procedure", "gms", "--statistic", statistic])
+        decision = run_test(load_csv(violated_csv), StatisticKind(statistic.lower()), "GMS", n_draws=200)
+        assert capsys.readouterr().out == json.dumps(decision.to_dict(), indent=2) + "\n"
+        assert code == int(decision.reject)
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--procedure", "cms fc"), ("--mode", "gms"), ("--statistic", "qlr")]
+    )
     def test_unknown_spelling_exits_two(self, positive_csv, capsys, flag, value):
         assert main(["test", str(positive_csv), flag, value]) == 2
         assert capsys.readouterr().err == f"error: unknown {flag[2:]} {value!r}\n"
@@ -334,6 +344,25 @@ class TestCmdSimulate:
         capsys.readouterr()
         assert written["spelled"] == written["canonical"]
 
+    def test_spelled_statistics_run_as_their_members(self, sim_config, tmp_path, capsys):
+        written = {}
+        for name, statistics in (("canonical", ["mmm", "aqlr"]), ("spelled", ["MMM", "Aqlr"])):
+            config = json.loads(sim_config.read_text()) | {"statistics": statistics}
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            assert main(["simulate", str(path), "--r-mc", "4", "--b", "100", "--output", str(tmp_path / name),
+                         "--format", "json"]) == 0
+            written[name] = (tmp_path / f"{name}_mnrp.json").read_text()
+        capsys.readouterr()
+        assert written["spelled"] == written["canonical"]
+
+    def test_dry_run_refuses_a_family_that_is_not_positive_definite(self, tmp_path, capsys):
+        path = tmp_path / "not_pd.json"
+        path.write_text(json.dumps({"J": 3, "family": {"kind": "Custom", "rho": [0.99, -0.99]}, "n": 50}))
+        for flags in (["--dry-run"], ["--r-mc", "2", "--b", "100", "--output", str(tmp_path / "out")]):
+            assert main(["simulate", str(path), *flags]) == 2
+            assert capsys.readouterr().err == "error: Toeplitz matrix for Custom, J=3 is not PD\n"
+
     @pytest.mark.parametrize("key", ["J", "n"])
     def test_missing_required_key_is_named(self, tmp_path, capsys, key):
         config = {"J": 2, "family": "Neg", "n": 50}
@@ -445,6 +474,11 @@ class TestCmdSimulate:
             pytest.param(
                 {"statistics": ["mmm", "mmm"]}, "statistic 'mmm' is listed twice", id="statistics-duplicate"
             ),
+            pytest.param(
+                {"statistics": ["mmm", "MMM"]}, "statistic 'mmm' is listed twice", id="statistics-spelled-duplicate"
+            ),
+            pytest.param({"statistics": ["mmm", "qlr"]}, "unknown statistic 'qlr'", id="statistics-unknown"),
+            pytest.param({"family": {"kind": "Custom", "rho": ["nan"]}}, "config key 'family'", id="family-nan-rho"),
         ],
     )
     def test_invalid_config_exits_two_before_replicating(self, tmp_path, capsys, monkeypatch, fields, fragment):
@@ -510,3 +544,35 @@ class TestCmdSimulate:
         rows = (tmp_path / "custom_mnrp.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 * 7
         assert all(row.split(",")[3] == "Custom" for row in rows)
+
+
+class TestQPCapPolicy:
+    """An AQLR program unfinished at the batch QP's round cap is an error
+    in every command; here the cap is zero rounds, so any instance with a
+    negative entry is left unfinished."""
+
+    @pytest.fixture(autouse=True)
+    def no_rounds(self, monkeypatch):
+        import cmselect.statistics
+        from cmselect.qp import nonneg_projection_batch
+
+        monkeypatch.setattr(
+            cmselect.statistics, "nonneg_projection_batch", functools.partial(nonneg_projection_batch, max_iter=0)
+        )
+
+    def test_test_exits_two(self, violated_csv, capsys):
+        assert main(["test", str(violated_csv), "--statistic", "aqlr", "--draws", "200"]) == 2
+        assert capsys.readouterr().err == "error: batch QP left 1 of 1 instances unfinished after 0 rounds\n"
+
+    def test_invert_lists_the_point_as_failed(self, violated_csv, capsys):
+        assert main(["invert", str(violated_csv), "--statistic", "aqlr", "--draws", "200"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["confidence_set"] == []
+        assert payload["points"][0]["error"].startswith("batch QP left")
+
+    def test_sweep_stops_naming_the_pattern_and_replication(self, sim_config, capsys):
+        config = json.loads(sim_config.read_text()) | {"statistics": ["aqlr"]}
+        sim_config.write_text(json.dumps(config))
+        assert main(["simulate", str(sim_config), "--r-mc", "2", "--b", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: replication failed at pattern 0, replication 0: batch QP left")

@@ -35,6 +35,7 @@ from cmselect.critical import (
     rsw_critical_value,
     seeded_counts,
     selection_step,
+    statistic_kind,
 )
 from cmselect.selection import KappaSchedule
 from cmselect.statistics import adjusted_sigma_batch, shifted_statistic_batch
@@ -740,6 +741,12 @@ class TestRunTest:
         for unknown in ("gms", "bootstrap-sim", None):
             with pytest.raises(DomainError, match="unknown mode"):
                 mode_name(unknown)
+        for kind in StatisticKind:
+            for spelling in (kind, kind.value, kind.value.upper(), kind.value.capitalize()):
+                assert statistic_kind(spelling) is kind
+        for unknown in ("qlr", "", 1, None, ["mmm"]):
+            with pytest.raises(DomainError, match="unknown statistic"):
+                statistic_kind(unknown)
 
     @pytest.mark.parametrize(
         "procedure, mode",
@@ -751,6 +758,13 @@ class TestRunTest:
             sample, StatisticKind.AQLR, procedure_name(procedure), mode=mode_name(mode), n_draws=200, seed=1
         )
         spelled = run_test(sample, StatisticKind.AQLR, procedure, mode=mode, n_draws=200, seed=1)
+        assert spelled.to_dict() == canonical.to_dict()
+
+    @pytest.mark.parametrize("statistic", ["mmm", "MMM", "aqlr", "Aqlr"])
+    def test_run_test_reads_every_statistic_spelling(self, statistic):
+        sample = normal_sample(40, 2, 66, shift=-0.3)
+        canonical = run_test(sample, statistic_kind(statistic), "gms", n_draws=200, seed=1)
+        spelled = run_test(sample, statistic, "gms", n_draws=200, seed=1)
         assert spelled.to_dict() == canonical.to_dict()
 
     def test_unknown_mode_rejected_for_every_procedure(self):

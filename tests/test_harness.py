@@ -160,6 +160,20 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match="unknown procedure 'boot'"):
             small_config(procedures=("GMS", "boot"))
 
+    def test_statistics_are_stored_as_their_members(self):
+        config = small_config(statistics=("MMM", "aqlr"))
+        assert config.statistics == (StatisticKind.MMM, StatisticKind.AQLR)
+        assert config == small_config()
+
+    @pytest.mark.parametrize("statistics", [("mmm", "MMM"), (StatisticKind.AQLR, "Aqlr")])
+    def test_a_statistic_spelling_and_its_member_are_a_repeat(self, statistics):
+        with pytest.raises(DomainError, match="is listed twice"):
+            small_config(statistics=statistics)
+
+    def test_rejects_an_unknown_statistic(self):
+        with pytest.raises(DomainError, match="unknown statistic 'qlr'"):
+            small_config(statistics=("mmm", "qlr"))
+
     @pytest.mark.parametrize("pattern", [(-INF, 0.0), (0.0, -INF)])
     def test_rejects_minus_infinity_in_a_null_pattern(self, pattern):
         with pytest.raises(DomainError, match=r"0 and \+inf"):
@@ -281,17 +295,22 @@ class TestPowerRun:
                 se = np.sqrt(max(p_rsw * (1 - p_rsw), 0.01) / config.r_mc)
                 assert abs(rate - p_rsw) <= 4 * se
 
-    def test_retained_critical_values(self):
+    def test_retained_critical_values(self, tmp_path):
         config = small_config(
             alternative_mu=((1.0, 1.0),), r_mc=60, retain_critical_values=True,
             procedures=("GMS", "CMS", "RSW"),
         )
-        corrections = corrections_from(run_mnrp(config))
-        result = run_power(config, corrections)
-        retained = result.retained_critical_values[("GMS", "mmm")]
-        assert retained.shape == (1, 60)
-        cell = result.cell("GMS", StatisticKind.MMM)
-        assert np.array_equal(retained, cell.critical_values)
+        mnrp = run_mnrp(config)
+        result = run_power(config, corrections_from(mnrp))
+        for phase, run in (("mnrp", mnrp), ("power", result)):
+            emit(run, "json", tmp_path / f"{phase}.json")
+        power = json.loads((tmp_path / "power.json").read_text())["cells"]
+        for (proc, kind), cell in result.cells.items():
+            assert cell.critical_values.shape == (1, 60)
+            assert power[f"{proc}-{kind}"]["critical_value_samples"] == cell.critical_values.ravel().tolist()
+        # Only the power phase retains them.
+        mnrp_cells = json.loads((tmp_path / "mnrp.json").read_text())["cells"]
+        assert not any("critical_value_samples" in entry for entry in mnrp_cells.values())
 
 
 def _power_config(**overrides):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -139,12 +140,19 @@ class TestToeplitzFamilies:
                 assert np.linalg.det(m) > 0
 
     def test_not_positive_definite_raises(self):
-        with pytest.raises(NotPositiveDefinite):
-            make_toeplitz(CorrelationFamily("Custom", 2, (1.2,)))
+        # The family itself refuses, so no matrix of it is ever built.
+        with pytest.raises(NotPositiveDefinite, match="Toeplitz matrix for Custom, J=2 is not PD"):
+            CorrelationFamily("Custom", 2, (1.2,))
 
     def test_custom_needs_right_length(self):
         with pytest.raises(ValueError):
             CorrelationFamily("Custom", 3, (0.5,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_custom_needs_finite_rho(self, bad):
+        # A NaN passes numpy's Cholesky factorization without an error.
+        with pytest.raises(ValueError, match="J-1 finite values"):
+            CorrelationFamily("Custom", 3, (0.5, bad))
 
 
 class TestSampleValidation:

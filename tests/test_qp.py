@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmselect.errors import QPNoConvergence, SingularCovariance
 from cmselect.qp import inverse_spd, nonneg_projection, nonneg_projection_batch
+from cmselect.statistics import adjusted_sigma_batch
 
 
 def random_spd(rng, k, jitter=1.0):
@@ -54,6 +55,40 @@ def test_values_are_nonnegative():
 def test_iteration_cap_raises():
     with pytest.raises(QPNoConvergence):
         nonneg_projection(np.eye(2), np.array([-1.0, -1.0]), max_iter=0)
+
+
+def test_batch_iteration_cap_raises():
+    # Both coordinates start clamped; the first round finds the second
+    # multiplier negative, so one round cannot finish the instance.
+    sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
+    with pytest.raises(QPNoConvergence, match="1 of 1 instances unfinished after 1 rounds"):
+        nonneg_projection_batch(sigma, np.array([[-1.0, -0.5]]), max_iter=1)
+    t, values = nonneg_projection_batch(sigma, np.array([[-1.0, -0.5]]), max_iter=2)
+    assert t[0] == pytest.approx([0.0, 0.4]) and values[0] == pytest.approx(1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), drift=st.floats(0.0, 3.0))
+# An instance on which switching back to full exchanges whenever a round had
+# fewer violations than the round before cycled through four clamped sets.
+@example(k=9, seed=716406398, drift=2.9662008964416904)
+def test_bootstrap_like_instances_finish_within_the_cap(k, seed, drift):
+    # Omega* as the bootstrap builds it: the correlation of a small Wishart
+    # draw (m rows; singular when m <= k, so only the determinant adjustment
+    # makes it positive definite). v drifts negative, so many coordinates clamp.
+    rng = np.random.default_rng(seed)
+    root = np.linalg.cholesky(random_spd(rng, k, jitter=0.05))
+    m = int(rng.integers(3, 2 * k + 3))
+    rows = rng.standard_normal((16, m, k)) @ root.T
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    cov = np.swapaxes(centered, 1, 2) @ centered
+    sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    sigma = adjusted_sigma_batch(cov / sd[:, :, None] / sd[:, None, :])
+    v = rng.standard_normal((16, k)) - drift
+    _, values = nonneg_projection_batch(sigma, v)
+    for b in range(16):
+        _, ref = nonneg_projection(inverse_spd(sigma[b]), v[b])
+        assert values[b] == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 def test_singular_matrix_reported():
