@@ -37,7 +37,6 @@ from .harness import (
     ExperimentResult,
     corrections_from,
     emit,
-    mnrp_correction,
     null_patterns,
     run_mnrp,
     run_power,

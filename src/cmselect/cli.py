@@ -32,7 +32,7 @@ from .harness import (
 )
 from .heap import retain_freed_buffers
 from .moments import CorrelationFamily, load_csv
-from .selection import SELECTIONS, KappaSchedule
+from .selection import DEFAULT_KAPPA, SELECTIONS, KappaSchedule
 
 
 def _typed(kind):
@@ -86,7 +86,7 @@ def _shared_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--statistic", type=statistic_kind, default="aqlr", help=", ".join(STATISTIC_ALIASES))
     parser.add_argument("--procedure", type=procedure_name, default="cms", help=", ".join(PROCEDURE_ALIASES))
     parser.add_argument("--phi", type=int, choices=list(SELECTIONS), default=1)
-    parser.add_argument("--kappa", default="sqrt-log-n", help="sqrt-log-n, sqrt-2loglogn, fixed:<v>")
+    parser.add_argument("--kappa", default=DEFAULT_KAPPA.spell(), help="sqrt-log-n, sqrt-2loglogn, fixed:<v>")
     parser.add_argument("--mode", type=mode_name, default="boot", help=", ".join(MODE_ALIASES))
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--draws", type=int, default=10000)
@@ -273,9 +273,11 @@ def load_config(path, overrides=None) -> tuple:
     phases = raw.get("run", ["mnrp"])
     if not isinstance(phases, list) or not phases:
         raise CmselectError("run must be a non-empty list of phases")
-    for phase in phases:
+    for i, phase in enumerate(phases):
         if phase not in ("mnrp", "power"):
             raise CmselectError(f"unknown phase {phase!r} in config")
+        if phase in phases[:i]:
+            raise CmselectError(f"phase {phase!r} is listed twice")
     if "power" in phases:
         if not config.alternative_mu:
             raise CmselectError("the power phase needs at least one alternative mean vector")

@@ -18,7 +18,9 @@ only builds G and Omega; both draw S(G + shift, Omega) through the one
 reads every requested procedure's critical value off one such object,
 tilting the sample once for CMS and CMS_FC; `run_test` in both modes and the
 Monte Carlo harness all go through it, so comparisons across procedures are
-paired. `rejects` is the one rejection rule.
+paired. `rejects` is the one rejection rule. `run_test`, like
+`ExperimentConfig`, checks alpha, beta and phi whatever the procedure, and
+defaults to the one kappa schedule, `selection.DEFAULT_KAPPA`.
 
 GMS, CMS, CMS_FC and RMS select through one formula, `selection_step`'s
 phi_k(phi, xi) at xi = sqrt(n) m / sqrt(v) / kappa; they differ only in the
@@ -47,7 +49,7 @@ import numpy as np
 
 from .errors import DegenerateColumn, DomainError, MissingTable, TooManyDegenerate
 from .moments import MomentSample, MomentSummary, cholesky_factor, summarize, variance_floor
-from .selection import KappaSchedule, SelectionVector, check_phi, kappa as kappa_value, phi_k
+from .selection import DEFAULT_KAPPA, KappaSchedule, SelectionVector, check_phi, kappa as kappa_value, phi_k
 from .statistics import StatisticKind, evaluate, shifted_statistic_batch
 from .streams import ASYMPTOTIC, BOOTSTRAP, substream
 from .tilt import TiltResult, tilt
@@ -78,14 +80,13 @@ class CriticalValueReport:
     skipped_draws: int = 0
 
     def to_dict(self) -> dict:
-        shifts = ["inf" if math.isinf(s) else float(s) for s in self.selection.shifts]
         record = {
             "value": self.value,
             "method": self.method,
             "mode": self.mode,
             "draws": self.draws,
             "alpha": self.alpha,
-            "selection": shifts,
+            "selection": _jsonable(self.selection.shifts),
             "selection_rule": self.selection.source,
             "skipped_draws": self.skipped_draws,
         }
@@ -147,13 +148,11 @@ def upper_quantile(draws: np.ndarray, level: float) -> float:
     return float(np.partition(draws, k - 1)[k - 1])
 
 
-def _check_alpha(alpha: float):
+def rsw_beta(alpha: float, beta: float | None = None) -> float:
+    """First-stage level of the two-step test: alpha / 10 unless given, in
+    (0, alpha). The one check of both levels: alpha must lie in (0, 1/2)."""
     if not 0.0 < alpha < 0.5:
         raise DomainError("alpha must lie in (0, 1/2)")
-
-
-def rsw_beta(alpha: float, beta: float | None = None) -> float:
-    """First-stage level of the two-step test: alpha / 10 unless given, in (0, alpha)."""
     if beta is None:
         beta = alpha / 10.0
     if not 0.0 < beta < alpha:
@@ -404,13 +403,18 @@ def rsw_critical_value(
 # ---------------------------------------------------------------------------
 
 
+# The keys of an RMS tables file, and the `RmsTables` fields they fill.
+_RMS_KEYS = {"delta_grid": "delta_grid", "kappa": "kappa_values", "eta1": "eta1_values", "eta2_by_J": "eta2_by_j"}
+
+
 @dataclass(frozen=True)
 class RmsTables:
     """Piecewise-linear lookup tables for the data-driven threshold variant.
 
     ``delta_grid`` indexes both ``kappa_values`` and ``eta1_values``; lookups
     clamp outside the grid. ``eta2_by_j`` maps the number of moments to the
-    dimension part of the size correction.
+    dimension part of the size correction. Every entry must be finite, and
+    a malformed table is a MissingTable naming its key.
     """
 
     delta_grid: tuple
@@ -420,19 +424,30 @@ class RmsTables:
 
     @classmethod
     def from_json(cls, path) -> "RmsTables":
+        """Tables from a JSON object with the number arrays "delta_grid",
+        "kappa" and "eta1" and the object "eta2_by_J" from J to a number."""
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
-        try:
-            return cls(
-                delta_grid=tuple(float(x) for x in raw["delta_grid"]),
-                kappa_values=tuple(float(x) for x in raw["kappa"]),
-                eta1_values=tuple(float(x) for x in raw["eta1"]),
-                eta2_by_j={int(k): float(v) for k, v in raw["eta2_by_J"].items()},
-            )
-        except KeyError as missing:
-            raise MissingTable(f"RMS tables are missing key {missing}")
+        if not isinstance(raw, dict):
+            raise MissingTable("RMS tables must be a JSON object")
+        fields = {}
+        for key, name in _RMS_KEYS.items():
+            if key not in raw:
+                raise MissingTable(f"RMS tables are missing key {key!r}")
+            value, by_j = raw[key], key == "eta2_by_J"
+            if not isinstance(value, dict if by_j else list):
+                raise MissingTable(f"RMS tables key {key!r} must be a JSON {'object' if by_j else 'array'}")
+            try:
+                fields[name] = {int(k): float(v) for k, v in value.items()} if by_j else tuple(map(float, value))
+            except (TypeError, ValueError) as err:
+                raise MissingTable(f"RMS tables key {key!r}: {err}") from err
+        return cls(**fields)
 
     def __post_init__(self):
+        for key, name in _RMS_KEYS.items():
+            entries = getattr(self, name)
+            if not all(map(math.isfinite, entries.values() if key == "eta2_by_J" else entries)):
+                raise MissingTable(f"RMS tables key {key!r} has an entry that is not finite")
         if not (len(self.delta_grid) == len(self.kappa_values) == len(self.eta1_values)):
             raise MissingTable("RMS table arrays must share one grid length")
         if len(self.delta_grid) == 0:
@@ -571,7 +586,7 @@ def critical_values(
     procedures,
     kinds,
     alpha: float,
-    beta: float | None,
+    beta: float,
     schedule: KappaSchedule,
     phi: int = 1,
     rms_tables: RmsTables | None = None,
@@ -619,7 +634,7 @@ def run_test(
     kind: StatisticKind,
     procedure: str,
     phi: int = 1,
-    schedule: KappaSchedule | None = None,
+    schedule: KappaSchedule = DEFAULT_KAPPA,
     mode: str = MODE_BOOTSTRAP,
     alpha: float = 0.05,
     n_draws: int = 10000,
@@ -637,17 +652,14 @@ def run_test(
     `procedure_name` and `mode_name` read. The mode only picks the draws object. The two-step test (rsw) is
     bootstrap-only and rejects only when the statistic exceeds its critical
     value and its first-stage rectangle sticks out of the nonnegative
-    orthant; ``beta`` is its first-stage level, alpha / 10 by default.
+    orthant; ``beta`` is its first-stage level, alpha / 10 by default, and
+    must lie in (0, alpha) whatever the procedure.
     """
     kind = statistic_kind(kind)
     name = procedure_name(procedure)
     mode = mode_name(mode)
     check_phi(phi)
-    _check_alpha(alpha)
-    if name == "RSW":
-        beta = rsw_beta(alpha, beta)
-    if schedule is None:
-        schedule = KappaSchedule.parse("sqrt-log-n")
+    beta = rsw_beta(alpha, beta)
     summary = summarize(sample)
     if mode == MODE_ASYMPTOTIC:
         draws = AsymptoticDraws(summary.correlation, n_draws, substream(seed, ASYMPTOTIC) if rng is None else rng)

@@ -9,7 +9,8 @@ alternatives supply finite vectors that the harness scales by 1/sqrt(n).
 Size is summarized by the maximum null rejection probability (MNRP) over the
 null configurations. Before power comparisons each selection-based procedure
 receives an additive critical-value correction chosen so its MNRP matches the
-two-step baseline's, making the power comparison fair.
+two-step baseline's, making the power comparison fair; `corrections_from`
+computes every correction of one MNRP sweep.
 
 Within one replication every procedure and statistic consumes the same sample
 and the same bootstrap draws, so cross-procedure comparisons are paired.
@@ -36,7 +37,6 @@ from .critical import (
     PROCEDURES,
     BootstrapDraws,
     RmsTables,
-    _check_alpha,
     bootstrap_counts,
     critical_values,
     procedure_name,
@@ -48,7 +48,7 @@ from .critical import (
 from .errors import CmselectError, DomainError, MissingBaseline
 from .heap import retain_freed_buffers
 from .moments import CorrelationFamily, MomentSample, cholesky_factor, make_toeplitz, summarize
-from .selection import KappaSchedule, check_phi
+from .selection import DEFAULT_KAPPA, KappaSchedule, check_phi
 from .statistics import StatisticKind, evaluate
 from .streams import BOOTSTRAP, SAMPLE_DRAW, substream
 
@@ -100,7 +100,7 @@ class ExperimentConfig:
     r_mc: int
     b: int = 10000
     alpha: float = 0.05
-    kappa: KappaSchedule = field(default_factory=lambda: KappaSchedule.parse("sqrt-log-n"))
+    kappa: KappaSchedule = DEFAULT_KAPPA
     procedures: tuple = ("GMS", "CMS")
     statistics: tuple = (StatisticKind.MMM, StatisticKind.AQLR)
     null_mu: tuple = ()
@@ -129,7 +129,6 @@ class ExperimentConfig:
         if not 0.0 < self.infinity_surrogate < math.inf:
             raise DomainError("infinity_surrogate must be positive and finite")
         check_phi(self.phi)
-        _check_alpha(self.alpha)
         rsw_beta(self.alpha, self.beta)
         if not self.procedures:
             raise DomainError("procedures must name at least one procedure")
@@ -164,10 +163,9 @@ class ExperimentConfig:
 
 @dataclass
 class CellResult:
-    """Per (procedure, statistic) record of an experiment."""
+    """Per (procedure, statistic) record of an experiment; the key of
+    `ExperimentResult.cells` names the cell."""
 
-    procedure: str
-    statistic: str
     statistic_values: np.ndarray  # (patterns, replications)
     critical_values: np.ndarray  # (patterns, replications)
     rejections: np.ndarray  # (patterns, replications) boolean
@@ -336,9 +334,7 @@ def _tabulate(config: ExperimentConfig, raw: dict, corrections: dict | None = No
             rejections = rejects(proc, stats, cvs, raw["rsw_first"])
             rates = rejections.mean(axis=1)
             ses = np.sqrt(rates * (1.0 - rates) / config.r_mc)
-            cells[(proc, kind.value)] = CellResult(
-                proc, kind.value, stats, cvs, rejections, rates, ses, correction=delta
-            )
+            cells[(proc, kind.value)] = CellResult(stats, cvs, rejections, rates, ses, correction=delta)
 
     has_rsw = "RSW" in config.procedures
     diagnostics = {
@@ -349,37 +345,25 @@ def _tabulate(config: ExperimentConfig, raw: dict, corrections: dict | None = No
     return cells, diagnostics
 
 
-def mnrp_correction(result: ExperimentResult, procedure: str, kind: StatisticKind) -> float:
-    """Additive critical-value constant aligning a procedure's MNRP with the
-    two-step baseline's.
+def corrections_from(result: ExperimentResult) -> dict:
+    """Additive critical-value constants aligning each corrected procedure's
+    MNRP with the two-step baseline's: {(procedure, statistic-name): delta}.
 
-    Takes the procedure's maximizing null pattern, forms the exceedances
-    T - c across its replications, and returns their quantile at one minus
-    the baseline MNRP. Raises MissingBaseline when the sweep did not include
-    the two-step procedure.
+    For each cell, takes the procedure's maximizing null pattern, forms the
+    exceedances T - c across its replications, and returns their quantile at
+    one minus the baseline MNRP of the same statistic. Raises MissingBaseline
+    unless ``result`` is an MNRP sweep that included the two-step procedure.
     """
     if result.phase != "mnrp":
         raise MissingBaseline("corrections need an MNRP sweep result")
-    baseline = result.cells.get(("RSW", kind.value))
-    if baseline is None:
+    if "RSW" not in result.config.procedures:
         raise MissingBaseline("the two-step baseline was not part of the sweep")
-    cell = result.cells.get((procedure, kind.value))
-    if cell is None:
-        raise MissingBaseline(f"procedure {procedure} was not part of the sweep")
-    p_star = cell.mnrp_pattern
-    exceedances = cell.statistic_values[p_star] - cell.critical_values[p_star]
-    level = 1.0 - baseline.mnrp
-    return float(upper_quantile(exceedances, level))
-
-
-def corrections_from(result: ExperimentResult) -> dict:
-    """All corrections an MNRP sweep supports: {(procedure, statistic): delta}."""
     out = {}
-    for proc in result.config.procedures:
-        if proc not in CORRECTED_PROCEDURES:
-            continue
-        for kind in result.config.statistics:
-            out[(proc, kind.value)] = mnrp_correction(result, proc, kind)
+    for (proc, stat), cell in result.cells.items():
+        if proc in CORRECTED_PROCEDURES:
+            p_star = cell.mnrp_pattern
+            exceedances = cell.statistic_values[p_star] - cell.critical_values[p_star]
+            out[(proc, stat)] = upper_quantile(exceedances, 1.0 - result.cells[("RSW", stat)].mnrp)
     return out
 
 
@@ -387,7 +371,7 @@ def run_power(config: ExperimentConfig, corrections: dict | None = None) -> Expe
     """Local-power run at mu / sqrt(n) with corrected critical values.
 
     ``corrections`` maps (procedure, statistic-name) to the additive constant
-    from `mnrp_correction`; the two-step baseline runs uncorrected. Rejection
+    from `corrections_from`; the two-step baseline runs uncorrected. Rejection
     uses T > c + delta (plus the first-stage event for the two-step test).
     """
     alternatives = config.alternative_mu
@@ -514,10 +498,9 @@ def _emit_json(result: ExperimentResult, path) -> None:
         if cell.mnrp is not None:
             entry["mnrp"] = cell.mnrp
             entry["mnrp_pattern"] = _pattern_id(result.patterns[cell.mnrp_pattern])
+        if result.phase == "power" and result.config.retain_critical_values:
+            entry["critical_value_samples"] = cell.critical_values.ravel().tolist()
         payload["cells"][f"{proc}-{kind}"] = entry
-    if result.phase == "power" and result.config.retain_critical_values:
-        for (proc, kind), cell in result.cells.items():
-            payload["cells"][f"{proc}-{kind}"]["critical_value_samples"] = cell.critical_values.ravel().tolist()
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
 
@@ -530,7 +513,6 @@ __all__ = [
     "corrections_from",
     "default_replications",
     "emit",
-    "mnrp_correction",
     "null_patterns",
     "run_mnrp",
     "run_power",

@@ -85,6 +85,10 @@ class KappaSchedule:
         return self.kind.value
 
 
+# The default schedule of `run_test`, `ExperimentConfig` and --kappa.
+DEFAULT_KAPPA = KappaSchedule(KappaKind.SQRT_LOG_N)
+
+
 def kappa(schedule: KappaSchedule, n: int) -> float:
     """Evaluate the schedule at sample size n."""
     if schedule.kind is KappaKind.FIXED:

@@ -11,7 +11,9 @@ optimum the probabilities sum to one automatically (complementary slackness
 kills the correction term), are primal feasible, and satisfy the full KKT
 system. The dual has dimension J, which is small, so a projected Newton
 method with a feasibility safeguard on 1 + lam' g_i > 0 converges in a
-handful of iterations.
+handful of iterations. Duplicated or collinear violated columns make the
+Newton system singular; its minimum-norm solution then gives the step, and
+the tilt equals that of the sample without the redundant columns.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .moments import MomentSample
 _MAX_ITER = 200
 _KKT_TOL = 1e-10
 _ARMIJO_C = 1e-4
+# The free columns count as collinear when the smallest eigenvalue of their
+# Newton Hessian, scaled to unit diagonal, is at most this.
+_COLLINEAR = 1e-12
 # A coordinate of the tilted mean counts as binding when it is this close to
 # zero, relative to the column scale.
 _BINDING_TOL = 1e-7
@@ -164,10 +169,14 @@ def _dual_newton(g: np.ndarray):
         if free.any():
             a = g[:, free] / u[:, None]
             hess = a.T @ a
-            try:
+            # Scaled to unit diagonal, the spectrum does not depend on column scales.
+            d = np.sqrt(np.diag(hess))
+            unit = hess / d / d[:, None]
+            if np.linalg.eigvalsh(unit)[0] > _COLLINEAR:
                 direction[free] = np.linalg.solve(hess, grad[free])
-            except np.linalg.LinAlgError:
-                direction[free] = grad[free] / max(np.trace(hess) / free.sum(), 1e-12)
+            else:
+                # Duplicated or collinear free columns: the minimum-norm step.
+                direction[free] = np.linalg.lstsq(unit, grad[free] / d, rcond=_COLLINEAR)[0] / d
         else:
             direction = grad.copy()
 

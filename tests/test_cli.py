@@ -1,4 +1,5 @@
 import functools
+import inspect
 import json
 import math
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from cmselect import StatisticKind, load_csv, run_test
-from cmselect.cli import load_config, main
+from cmselect.cli import build_parser, load_config, main
 from cmselect.critical import mode_name, procedure_name, seeded_counts
+from cmselect.selection import DEFAULT_KAPPA, KappaSchedule
 
 
 def write_sample(path, values):
@@ -141,6 +143,44 @@ class TestCmdTest:
         assert code in (0, 1)
         assert payload["critical_value"]["method"] == "RMS"
         assert payload["critical_value"]["supplementary"]["eta_hat"] == pytest.approx(0.05)
+
+    @pytest.mark.parametrize(
+        "tables, fragment",
+        [
+            pytest.param({"delta_grid": 5}, "key 'delta_grid' must be a JSON array", id="grid-number"),
+            pytest.param({"kappa": None}, "key 'kappa' must be a JSON array", id="kappa-null"),
+            pytest.param([1.0, 2.0], "RMS tables must be a JSON object", id="top-level-array"),
+            pytest.param({"eta2_by_J": []}, "key 'eta2_by_J' must be a JSON object", id="eta2-array"),
+            pytest.param({"eta2_by_J": {"two": 0.05}}, "key 'eta2_by_J'", id="eta2-key-not-a-number"),
+            pytest.param({"eta1": [0.0, "x"]}, "key 'eta1'", id="eta1-not-a-number"),
+            pytest.param({"delta_grid": [0.0, "nan"]}, "key 'delta_grid' has an entry that is not finite", id="grid-nan"),
+            pytest.param({"kappa": [2.0, "inf"]}, "key 'kappa' has an entry that is not finite", id="kappa-inf"),
+            pytest.param({"kappa": [0.0, 0.0]}, "nonpositive threshold", id="kappa-nonpositive"),
+            pytest.param({"kappa": [2.0]}, "share one grid length", id="unequal-lengths"),
+            pytest.param({"delta_grid": [], "kappa": [], "eta1": []}, "RMS tables are empty", id="no-entries"),
+            pytest.param({"delta_grid": [1.0, -1.0]}, "delta grid must be sorted", id="unsorted-grid"),
+        ],
+    )
+    def test_malformed_rms_tables_exit_two(self, violated_csv, tmp_path, capsys, tables, fragment):
+        good = {"delta_grid": [-1.0, 1.0], "kappa": [2.0, 2.0], "eta1": [0.0, 0.0], "eta2_by_J": {"2": 0.05}}
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps(good | tables if isinstance(tables, dict) else tables))
+        args = ["test", str(violated_csv), "--procedure", "rms", "--rms-tables", str(path), "--draws", "200"]
+        assert main(args) == 2
+        assert fragment in capsys.readouterr().err
+        if fragment != "nonpositive threshold":
+            # A config naming the file refuses it before anything runs.
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"J": 2, "n": 50, "procedures": ["RMS"], "rms_tables": path.name}))
+            assert main(["simulate", str(config), "--dry-run"]) == 2
+            assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("procedure", ["gms", "cms", "rsw"])
+    @pytest.mark.parametrize("beta", ["7", "0.05", "0"])
+    def test_beta_outside_its_domain_exits_two_for_every_procedure(self, violated_csv, capsys, procedure, beta):
+        args = ["test", str(violated_csv), "--procedure", procedure, "--beta", beta, "--draws", "200"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: beta must lie in (0, alpha)\n"
 
     def test_rms_without_tables_errors(self, violated_csv, capsys):
         code = main(["test", str(violated_csv), "--procedure", "rms", "--draws", "200"])
@@ -289,6 +329,36 @@ class TestCmdInvert:
                 assert entry["statistic"] == fresh.statistic
                 assert entry["reject"] == fresh.reject
 
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            (None, "no grid points supplied"),
+            ("theta_id,path\n", "no grid points supplied"),
+            ("id,file\na,theta_0.csv\n", "grid manifest needs columns theta_id,path"),
+            ("theta_id\na\n", "grid manifest needs columns theta_id,path"),
+            ("", "grid manifest needs columns theta_id,path"),
+        ],
+        ids=["no-points", "empty-manifest", "other-columns", "no-path-column", "no-header"],
+    )
+    def test_no_points_or_a_manifest_without_its_columns_exits_two(self, tmp_path, capsys, manifest, message):
+        args = ["invert", "--draws", "200"]
+        if manifest is not None:
+            self.make_grid(tmp_path, [1.0])
+            (tmp_path / "grid.csv").write_text(manifest)
+            args += ["--grid", str(tmp_path / "grid.csv")]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_output_flag_writes_the_listing(self, tmp_path, capsys):
+        paths = self.make_grid(tmp_path, [-0.4, 1.0])
+        out = tmp_path / "listing.json"
+        assert main(["invert", *paths, "--draws", "200", "--output", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert out.read_text() == printed
+        assert [p["theta_id"] for p in json.loads(printed)["points"]] == ["theta_0", "theta_1"]
+
     def test_duplicate_ids_rejected(self, tmp_path):
         [path] = self.make_grid(tmp_path, [1.0])
         assert main(["invert", path, path]) == 2
@@ -331,6 +401,12 @@ class TestCmdSimulate:
         extras = {"null_patterns": 3, "alternatives": 0, "phases": ["mnrp"], "threads": 1}
         assert echo == config | extras
         assert list(echo) == [*config, *extras]
+
+    @pytest.mark.parametrize("spelling, echoed", [("fixed:2", "fixed:2.0"), ("sqrt-2loglogn", "sqrt-2loglogn")])
+    def test_dry_run_echoes_the_kappa_schedule(self, sim_config, capsys, spelling, echoed):
+        sim_config.write_text(json.dumps(json.loads(sim_config.read_text()) | {"kappa": spelling}))
+        assert main(["simulate", str(sim_config), "--dry-run"]) == 0
+        assert json.loads(capsys.readouterr().out)["kappa"] == echoed
 
     def test_spelled_procedures_run_as_their_canonical_names(self, sim_config, tmp_path, capsys):
         written = {}
@@ -479,6 +555,21 @@ class TestCmdSimulate:
             ),
             pytest.param({"statistics": ["mmm", "qlr"]}, "unknown statistic 'qlr'", id="statistics-unknown"),
             pytest.param({"family": {"kind": "Custom", "rho": ["nan"]}}, "config key 'family'", id="family-nan-rho"),
+            pytest.param({"run": ["mnrp", "mnrp"]}, "phase 'mnrp' is listed twice", id="run-repeated-phase"),
+            pytest.param(
+                {"alternatives": [[-1, 1]], "run": ["mnrp", "power", "power"]},
+                "phase 'power' is listed twice",
+                id="run-repeated-power",
+            ),
+            pytest.param([1, 2], "the config must be a JSON object", id="not-an-object"),
+            pytest.param({"null_patterns": "bogus"}, "unknown null pattern scheme 'bogus'", id="null-patterns-bogus"),
+            pytest.param({"r_mc": 0}, "r_mc must be at least 1", id="r-mc-zero"),
+            pytest.param({"b": 50}, "bootstrap draw count must be at least 100", id="b-fifty"),
+            pytest.param({"null_patterns": [[0]]}, "null pattern length must equal J", id="null-pattern-short"),
+            pytest.param({"alternatives": [[-1, 1, 0]]}, "alternative mean length must equal J", id="alternative-long"),
+            pytest.param({"alternatives": [["inf", 0]]}, "alternative means must be finite", id="alternative-inf"),
+            pytest.param({"J": 3}, "Neg family is only defined for J in {2, 4, 10}", id="family-neg-j3"),
+            pytest.param({"family": "Bogus"}, "unknown correlation family kind 'Bogus'", id="family-unknown-kind"),
         ],
     )
     def test_invalid_config_exits_two_before_replicating(self, tmp_path, capsys, monkeypatch, fields, fragment):
@@ -489,9 +580,8 @@ class TestCmdSimulate:
 
         monkeypatch.setattr(cmselect.harness, "_replicate", no_replication)
         path = tmp_path / "invalid.json"
-        path.write_text(json.dumps(
-            {"J": 2, "family": "Neg", "n": 50, "r_mc": 2, "b": 100, "procedures": ["RSW"], **fields}
-        ))
+        base = {"J": 2, "family": "Neg", "n": 50, "r_mc": 2, "b": 100, "procedures": ["RSW"]}
+        path.write_text(json.dumps(base | fields if isinstance(fields, dict) else fields))
         assert main(["simulate", str(path)]) == 2
         assert fragment in capsys.readouterr().err
 
@@ -532,6 +622,13 @@ class TestCmdSimulate:
             configs[spelling] = load_config(path)[0]
         assert configs[math.inf].null_mu == ((0.0, math.inf), (math.inf, 0.0))
         assert all(config == configs[math.inf] for config in configs.values())
+
+    def test_one_default_kappa_schedule(self, sim_config):
+        assert DEFAULT_KAPPA == KappaSchedule.parse("sqrt-log-n")
+        assert inspect.signature(run_test).parameters["schedule"].default is DEFAULT_KAPPA
+        assert load_config(sim_config)[0].kappa is DEFAULT_KAPPA
+        for command in ("test", "invert"):
+            assert build_parser().parse_args([command, "data.csv"]).kappa == DEFAULT_KAPPA.spell()
 
     def test_custom_family_config_runs(self, tmp_path, capsys):
         path = tmp_path / "custom.json"

@@ -702,6 +702,14 @@ class TestRms:
         matrix = make_toeplitz(CorrelationFamily("Neg", 2))
         assert min_off_diagonal(matrix) == pytest.approx(-0.9)
 
+    def test_one_moment_reads_the_tables_at_correlation_one(self):
+        sample = normal_sample(50, 1, 53, shift=-0.2)
+        tables = RmsTables(
+            delta_grid=(0.0, 1.0), kappa_values=(1.0, 3.0), eta1_values=(0.0, 0.5), eta2_by_j={1: 0.25}
+        )
+        report = rms_test(sample, StatisticKind.MMM, tables, seed=8)
+        assert report.supplementary == {"delta_hat": 1.0, "kappa_hat": 3.0, "eta_hat": 0.75}
+
     def test_interpolation_clamps(self):
         tables = RmsTables(
             delta_grid=(0.0, 1.0),
@@ -780,10 +788,23 @@ class TestRunTest:
         with pytest.raises(DomainError, match="phi must be one of 1, 2, 3, 4"):
             run_test(sample, StatisticKind.MMM, procedure, phi=phi, n_draws=200)
 
+    @pytest.mark.parametrize("procedure", ["rsw", "gms", "cms_fc"])
+    @pytest.mark.parametrize("beta", [0.05, 0.0, 7.0])
+    def test_beta_outside_its_domain_rejected_for_every_procedure(self, procedure, beta):
+        sample = normal_sample(30, 2, 64, shift=-0.3)
+        with pytest.raises(DomainError, match=r"beta must lie in \(0, alpha\)"):
+            run_test(sample, StatisticKind.MMM, procedure, alpha=0.05, beta=beta, n_draws=200)
+
     def test_rsw_asymptotic_rejected(self):
         sample = normal_sample(30, 2, 62)
         with pytest.raises(DomainError):
             run_test(sample, StatisticKind.MMM, "rsw", mode=MODE_ASYMPTOTIC)
+
+    def test_report_spells_an_omitted_moment_inf(self):
+        sample = normal_sample(60, 2, 65, shift=(-0.3, 3.0))
+        record = run_test(sample, StatisticKind.MMM, "gms", n_draws=200).critical_value.to_dict()
+        assert record["selection"] == [0.0, "inf"]
+        assert all(type(entry) in (float, str) for entry in record["selection"])
 
     def test_decision_serializes(self):
         import json

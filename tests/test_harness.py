@@ -15,7 +15,6 @@ from cmselect import (
     StatisticKind,
     corrections_from,
     emit,
-    mnrp_correction,
     null_patterns,
     run_mnrp,
     run_power,
@@ -236,7 +235,6 @@ class TestMnrpRun:
             p_rsw = result.cell("RSW", kind).mnrp
             for proc in ("GMS", "CMS"):
                 delta = deltas[(proc, kind.value)]
-                assert delta == mnrp_correction(result, proc, kind)
                 cell = result.cell(proc, kind)
                 p_star = cell.mnrp_pattern
                 exceed = cell.statistic_values[p_star] - cell.critical_values[p_star]
@@ -247,10 +245,14 @@ class TestMnrpRun:
                 if cell.mnrp > p_rsw:
                     assert delta > 0
 
+    def test_corrections_need_an_mnrp_sweep(self, result):
+        with pytest.raises(MissingBaseline, match="MNRP sweep"):
+            corrections_from(dataclasses.replace(result, phase="power"))
+
     def test_correction_needs_baseline(self):
         result = run_mnrp(small_config(procedures=("GMS", "CMS")))
         with pytest.raises(MissingBaseline):
-            mnrp_correction(result, "GMS", StatisticKind.MMM)
+            corrections_from(result)
 
 
 class TestPowerRun:

@@ -130,6 +130,26 @@ def test_permutation_equivariance():
     assert np.allclose(permuted.tilted_mean, base.tilted_mean, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "seed, columns, scales",
+    [
+        (21, [0, 1, 0], 1.0),
+        (21, [0, 1, 1], 1.0),
+        (0, [0, 1, 0, 0], 1.0),
+        (7, [0, 0, 1, 1], 1.0),
+        (1, [0, 1, 0], (1.0, 1.0, 2.0)),
+    ],
+    ids=["first-twice", "second-twice", "first-thrice", "both-twice", "first-doubled"],
+)
+def test_repeated_violated_columns_tilt_as_the_sample_without_them(seed, columns, scales):
+    # A violated column listed again, or scaled, adds no constraint to the
+    # primal, but makes the dual's Newton system singular.
+    g = np.random.default_rng(seed).standard_normal((200, 2)) + (-0.15, -0.05)
+    base = tilt(MomentSample(g))
+    repeated = tilt(MomentSample(g[:, columns] * scales))
+    assert repeated.solved
+    assert np.allclose(repeated.probabilities, base.probabilities, rtol=0.0, atol=1e-12)
+
 def test_grid_oracle_small_fixtures():
     rng = np.random.default_rng(9)
     checked = 0
