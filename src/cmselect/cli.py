@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from .critical import (
-    MODE_ALIASES, PROCEDURE_ALIASES, STATISTIC_ALIASES, RmsTables, mode_name, procedure_name, run_test, statistic_kind
+    MODE_ALIASES, PROCEDURE_ALIASES, STATISTIC_ALIASES, RmsTables, json_real, mode_name, procedure_name, run_test,
+    statistic_kind,
 )
 from .errors import CmselectError
 from .harness import (
@@ -45,23 +46,15 @@ def _typed(kind):
     return check
 
 
-def _real(value) -> float:
-    """float, except that a JSON true or false is not a number. Strings
-    float reads ("0.05", "inf", "Infinity") are kept."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 _integer, _list = _typed(int), _typed(list)
 # The one conversion of each optional key `load_config` passes on. A key
 # missing from the file takes `ExperimentConfig`'s default, and
 # `ExperimentConfig` checks every value.
 _CONVERTERS = {
     "r_mc": _integer, "b": _integer, "seed": _integer, "threads": _integer, "phi": _integer,
-    "alpha": _real,
-    "infinity_surrogate": _real,
-    "beta": lambda value: None if value is None else _real(value),
+    "alpha": json_real,
+    "infinity_surrogate": json_real,
+    "beta": lambda value: None if value is None else json_real(value),
     "kappa": KappaSchedule.parse,
     "procedures": _list, "statistics": _list,
     "retain_critical_values": _typed(bool),
@@ -218,7 +211,7 @@ def _convert(key: str, convert, value):
 
 
 def _mean_vectors(spec) -> tuple:
-    return tuple(tuple(map(_real, _list(mu))) for mu in spec)
+    return tuple(tuple(map(json_real, _list(mu))) for mu in spec)
 
 
 def load_config(path, overrides=None) -> tuple:

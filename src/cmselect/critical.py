@@ -14,8 +14,14 @@ The two modes differ only in where the draws of (G, Omega) come from. One
 draws object per sample, `AsymptoticDraws` or `BootstrapDraws` (which keeps
 its valid replicates only), serves every procedure and both statistics. Each
 only builds G and Omega; both draw S(G + shift, Omega) through the one
-`_Draws.statistic_draws`, differing only in the shift. `critical_values`
-reads every requested procedure's critical value off one such object,
+`_Draws.statistic_draws`, differing only in the shift. Its AQLR calls
+carry each draw's QP certificate from one call to the next: a QP value
+depends on (Omega_AA, v_A) alone, A the certified clamped set, so a later
+call (RSW, another selection) reuses the value of every draw whose shifted
+vector is bitwise unchanged on A and which still passes the solver's own
+KKT test, and solves only the rest, bit for bit as a cold solve would.
+`critical_values` reads every requested procedure's critical value off one
+such object,
 tilting the sample once for CMS and CMS_FC; `run_test` in both modes and the
 Monte Carlo harness all go through it, so comparisons across procedures are
 paired. `rejects` is the one rejection rule. `run_test`, like
@@ -50,7 +56,7 @@ import numpy as np
 from .errors import DegenerateColumn, DomainError, MissingTable, TooManyDegenerate
 from .moments import MomentSample, MomentSummary, cholesky_factor, summarize, variance_floor
 from .selection import DEFAULT_KAPPA, KappaSchedule, SelectionVector, check_phi, kappa as kappa_value, phi_k
-from .statistics import StatisticKind, evaluate, shifted_statistic_batch
+from .statistics import Certificates, StatisticKind, evaluate, shifted_statistic_batch
 from .streams import ASYMPTOTIC, BOOTSTRAP, substream
 from .tilt import TiltResult, tilt
 
@@ -170,8 +176,10 @@ class _Draws:
     supply ``g_recentered_stud`` (a row per draw), ``omega_star`` (one (J, J)
     Omega, or one per draw), ``mode``, ``n_draws`` and ``skipped``."""
 
-    # The AQLR clamped sets carried between calls; None until the first.
+    # The AQLR clamped sets, and the QP certificates of each _DRAWS_CHUNK
+    # block of draws, carried between calls; None until the first.
     _clamped = None
+    _certificates = None
 
     @cached_property
     def _omega_adjusted(self) -> np.ndarray:
@@ -188,11 +196,15 @@ class _Draws:
         masking omitted moments, evaluated _DRAWS_CHUNK draws at a time.
 
         Every AQLR call solves one QP per draw on the same G and Omega, so
-        each call's final clamped sets are kept as the next call's first
-        guess (see `shifted_statistic_batch`). The first call starts from
-        the solver's default guess, the negative entries. The adjusted Omega
-        is built on the first call that keeps a moment: with every moment
-        omitted the statistic is zero and reads no Omega.
+        each call leaves two things for the next (see
+        `shifted_statistic_batch`): its final clamped sets, the first guess
+        of the draws that must be solved again, and each draw's QP
+        certificate, which spares a new solve wherever it still holds. The
+        first call starts from the solver's default guess, the negative
+        entries, and builds the certificates as it solves, at no extra
+        solve. The adjusted Omega is built on the first call that keeps a
+        moment: with every moment omitted the statistic is zero and reads no
+        Omega.
         """
         vec = self.g_recentered_stud + shift
         sigma = self.omega_star
@@ -201,12 +213,16 @@ class _Draws:
                 sigma = self._omega_adjusted
             if self._clamped is None:
                 self._clamped = vec < 0.0
+                self._certificates = [Certificates() for _ in range(0, len(vec), _DRAWS_CHUNK)]
         out = np.empty(len(vec))
         for start in range(0, len(vec), _DRAWS_CHUNK):
             block = slice(start, start + _DRAWS_CHUNK)
-            clamped = None if kind is StatisticKind.MMM else self._clamped[block]
             sub = sigma if sigma.ndim == 2 else sigma[block]
-            out[block] = shifted_statistic_batch(kind, vec[block], sub, omit, clamped)
+            if kind is StatisticKind.MMM:
+                out[block] = shifted_statistic_batch(kind, vec[block], sub, omit)
+            else:
+                carry = self._clamped[block], self._certificates[start // _DRAWS_CHUNK]
+                out[block] = shifted_statistic_batch(kind, vec[block], sub, omit, *carry)
         return out
 
     def selection_draws(self, selection: SelectionVector, kind: StatisticKind) -> np.ndarray:
@@ -403,6 +419,16 @@ def rsw_critical_value(
 # ---------------------------------------------------------------------------
 
 
+def json_real(value) -> float:
+    """float of a value read from JSON, except that true and false are not
+    numbers (TypeError). Strings float reads ("0.05", "inf", "Infinity")
+    are kept. The one number rule of every JSON input: experiment configs
+    and RMS tables."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 # The keys of an RMS tables file, and the `RmsTables` fields they fill.
 _RMS_KEYS = {"delta_grid": "delta_grid", "kappa": "kappa_values", "eta1": "eta1_values", "eta2_by_J": "eta2_by_j"}
 
@@ -438,7 +464,9 @@ class RmsTables:
             if not isinstance(value, dict if by_j else list):
                 raise MissingTable(f"RMS tables key {key!r} must be a JSON {'object' if by_j else 'array'}")
             try:
-                fields[name] = {int(k): float(v) for k, v in value.items()} if by_j else tuple(map(float, value))
+                fields[name] = (
+                    {int(k): json_real(v) for k, v in value.items()} if by_j else tuple(map(json_real, value))
+                )
             except (TypeError, ValueError) as err:
                 raise MissingTable(f"RMS tables key {key!r}: {err}") from err
         return cls(**fields)

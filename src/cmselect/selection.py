@@ -76,7 +76,11 @@ class KappaSchedule:
         if text == KappaKind.SQRT_TWO_LOG_LOG_N.value:
             return cls(KappaKind.SQRT_TWO_LOG_LOG_N)
         if isinstance(text, str) and text.startswith("fixed:"):
-            return cls(KappaKind.FIXED, float(text.split(":", 1)[1]))
+            try:
+                value = float(text.split(":", 1)[1])
+            except ValueError:
+                raise DomainError(f"kappa schedule {text!r} needs a number after 'fixed:'") from None
+            return cls(KappaKind.FIXED, value)
         raise DomainError(f"unknown kappa schedule {text!r}")
 
     def spell(self) -> str:

@@ -7,11 +7,20 @@ critical-value simulation at shifted draws with Sigma a correlation-scale
 matrix, and on data (through `evaluate`, the entry point there) as a batch of
 one at g = sqrt(n) * mean with Sigma the divisor-n covariance. A boolean
 ``omit`` mask marks the moments omitted from the computation: they contribute
-zero to the sum statistic and are deleted (row and column) before the
-quadratic-form statistic is solved, which reproduces the limit of sending the
-entry to infinity. `qp.nonneg_projection_batch` alone solves the quadratic
-programs (QPNoConvergence at its round cap); `qp.nonneg_projection` is only
-the tests' oracle.
+zero to the sum statistic, and the quadratic program sees them as +inf, the
+limit that omission reproduces, which it never clamps.
+`qp.nonneg_projection_batch` alone solves the quadratic programs
+(QPNoConvergence at its round cap); `qp.nonneg_projection` is only the
+tests' oracle.
+
+A QP value and its multipliers depend on (Sigma_AA, v_A) alone, A the
+certified clamped set: an omitted or free moment never touches their bits,
+so the value equals that of the program with the omitted rows and columns
+deleted, bit for bit. That makes the solver's certificates reusable: a
+later call on the same draws takes a draw's value from its certificate
+when the draw's vector is bitwise unchanged on A and the solver's own KKT
+test still passes (`shifted_statistic_batch`, `qp.certified`), and
+re-solves only the other draws.
 
 The quadratic-form statistic reads Sigma after the determinant adjustment of
 Andrews and Barwick (2012), one routine for every caller,
@@ -30,7 +39,7 @@ import numpy as np
 
 from .errors import DegenerateColumn, SingularCovariance
 from .moments import MomentSummary
-from .qp import nonneg_projection_batch
+from .qp import certified, displacement_rows, nonneg_projection_batch
 
 # The quadratic-form statistic shrinks toward the diagonal when the
 # correlation determinant falls below this constant.
@@ -134,12 +143,24 @@ def evaluate(kind: StatisticKind, summary: MomentSummary) -> float:
     return float(summary.n * shifted_statistic_batch(kind, vec[None], sigma)[0])
 
 
+class Certificates:
+    """The QP certificates of a stack of draws, carried from one AQLR call on
+    them to the next: for each draw (a column, moment-major, as the solver
+    works) the clamped set `qp.nonneg_projection_batch` certified, that
+    solve's raw multipliers and displacement Sigma s, and the vector it
+    solved, +inf at the moments that call omitted. Empty until the first
+    call, which keeps the solver's own arrays and its vector, uncopied."""
+
+    sets = multipliers = displacements = vectors = None
+
+
 def shifted_statistic_batch(
     kind: StatisticKind,
     vec: np.ndarray,
     sigma: np.ndarray,
     omit: np.ndarray | None = None,
     clamped: np.ndarray | None = None,
+    certificates: Certificates | None = None,
 ) -> np.ndarray:
     """Evaluate S(vec_b, sigma_b) across a stack of draws.
 
@@ -148,16 +169,26 @@ def shifted_statistic_batch(
     computed from the data, not per draw). ``sigma`` is (B, J, J) or (J, J)
     and is used as supplied: callers of the quadratic-form statistic apply
     the determinant adjustment to the full matrices first
-    (`adjusted_sigma_batch`), and omitted rows and columns are deleted after
-    it.
+    (`adjusted_sigma_batch`). The quadratic program sees an omitted moment
+    as +inf, which it never clamps, and returns bit for bit the value of
+    the program with the omitted rows and columns deleted.
 
-    ``clamped`` is an optional (B, J) boolean array on the full moment grid
-    that carries the quadratic program's clamped sets from one call to the
-    next on the same draws. Its kept columns are read as the solver's first
-    guess; then every kept column is overwritten with the final ``t == 0``
-    and every omitted column with False, so a moment slack in this call
-    never starts clamped in the next. The guess changes the solver's work,
-    not its result.
+    ``clamped`` is an optional (B, J) boolean array that carries the
+    quadratic program's clamped sets from one call to the next on the same
+    draws. It is read as the solver's first guess, then overwritten with
+    the final ``t == 0``, which is False at every omitted moment. The guess
+    changes the solver's work, not its result.
+
+    ``certificates`` carries, on the same draws, each draw's certificate
+    from the last call that solved it. A QP value and its multipliers
+    depend on (Sigma_AA, v_A) alone, A the certified clamped set, so a draw
+    whose vector is bitwise unchanged on A (an omitted moment reads +inf,
+    so no set that holds one qualifies) would get the same multipliers
+    and Sigma s from a new solve; if they also pass the
+    solver's own KKT test at the new vector (`qp.certified`), the draw
+    takes the value they give, which is the solver's value bit for bit.
+    Only the other draws go to the solver, warm, and their new certificates
+    replace the old.
     """
     batch, j_total = vec.shape
     if omit is None:
@@ -173,13 +204,43 @@ def shifted_statistic_batch(
         z = vec[:, keep] / np.sqrt(var)
         return np.sum(np.minimum(z, 0.0) ** 2, axis=1)
 
-    if keep.size == j_total:
-        sub, v = sigma, vec
+    v = np.where(omit, np.inf, vec) if keep.size < j_total else vec
+    if certificates is None:
+        t, values = nonneg_projection_batch(sigma, v, start=clamped)
     else:
-        sub, v = sigma[..., keep, :][..., keep], vec[:, keep]
-    start = None if clamped is None else clamped[:, keep]
-    t, values = nonneg_projection_batch(sub, v, start=start)
+        t, values = _reuse_or_solve(sigma, v, clamped, certificates)
     if clamped is not None:
-        clamped[:, omit] = False
-        clamped[:, keep] = t == 0.0
+        np.equal(t, 0.0, out=clamped)
     return values
+
+
+def _reuse_or_solve(sigma, v, start, certificates: Certificates):
+    """(t, values) of the draws (sigma, v): those whose certificates hold
+    reuse them, the rest are solved, and their certificates replaced."""
+    if certificates.sets is None:
+        solved = nonneg_projection_batch(sigma, v, start=start)
+        certificates.sets, certificates.multipliers, certificates.displacements = (
+            solved.clamped.T, solved.multipliers.T, solved.displacement.T
+        )
+        certificates.vectors = v.T
+        return solved[0], solved[1]
+    # Bitwise equality: -0.0 and +0.0 give different multipliers.
+    same = v.T.view(np.int64) == certificates.vectors.view(np.int64)
+    reuse = (same | ~certificates.sets).all(axis=0)
+    # Sigma s was left unsummed on the moments the certifying call omitted.
+    gaps = np.isnan(certificates.displacements) & (v.T < np.inf)
+    rows = gaps.any(axis=1).nonzero()[0]
+    if rows.size:
+        summed = displacement_rows(sigma, rows, certificates.sets.T, certificates.multipliers.T)
+        certificates.displacements[rows] = np.where(gaps[rows], summed, certificates.displacements[rows])
+    parts = certificates.sets, certificates.multipliers, certificates.displacements, certificates.vectors
+    ok, t, values = certified(v, *(part.T for part in parts[:3]))
+    fresh = (~(reuse & ok)).nonzero()[0]
+    if fresh.size:
+        solved = nonneg_projection_batch(
+            sigma if sigma.ndim == 2 else sigma[fresh], v[fresh], start=None if start is None else start[fresh]
+        )
+        t[fresh], values[fresh] = solved
+        for part, new in zip(parts, (solved.clamped, solved.multipliers, solved.displacement, v[fresh])):
+            part[:, fresh] = new.T
+    return t, values

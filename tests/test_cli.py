@@ -159,6 +159,8 @@ class TestCmdTest:
             pytest.param({"kappa": [2.0]}, "share one grid length", id="unequal-lengths"),
             pytest.param({"delta_grid": [], "kappa": [], "eta1": []}, "RMS tables are empty", id="no-entries"),
             pytest.param({"delta_grid": [1.0, -1.0]}, "delta grid must be sorted", id="unsorted-grid"),
+            pytest.param({"kappa": [True, True]}, "key 'kappa': expected a number, got True", id="kappa-bool"),
+            pytest.param({"eta2_by_J": {"2": False}}, "key 'eta2_by_J': expected a number, got False", id="eta2-bool"),
         ],
     )
     def test_malformed_rms_tables_exit_two(self, violated_csv, tmp_path, capsys, tables, fragment):
@@ -181,6 +183,11 @@ class TestCmdTest:
         args = ["test", str(violated_csv), "--procedure", procedure, "--beta", beta, "--draws", "200"]
         assert main(args) == 2
         assert capsys.readouterr().err == "error: beta must lie in (0, alpha)\n"
+
+    @pytest.mark.parametrize("command", ["test", "invert"])
+    def test_a_fixed_kappa_without_a_number_exits_two(self, violated_csv, capsys, command):
+        assert main([command, str(violated_csv), "--kappa", "fixed:abc", "--draws", "200"]) == 2
+        assert capsys.readouterr().err == "error: kappa schedule 'fixed:abc' needs a number after 'fixed:'\n"
 
     def test_rms_without_tables_errors(self, violated_csv, capsys):
         code = main(["test", str(violated_csv), "--procedure", "rms", "--draws", "200"])

@@ -389,6 +389,63 @@ class TestMomentMajorLayout:
         assert "_omega_adjusted" in draws.__dict__
 
 
+class TestCertificateReuse:
+    """Later AQLR calls on a draws object reuse the QP certificates of earlier
+    ones wherever the solver's own test still passes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        j=st.sampled_from([2, 4, 7]),
+        seed=st.integers(0, 2**32 - 1),
+        calls=st.lists(
+            st.tuples(st.booleans(), st.lists(st.sampled_from([0.0, 0.0, 0.4, 1.5, np.inf]), min_size=7, max_size=7)),
+            min_size=2,
+            max_size=5,
+        ),
+    )
+    def test_every_call_returns_the_bytes_of_a_cold_solve(self, j, seed, calls):
+        # A call is a selection (shifts, some omitted) or, RSW-style, a shift
+        # that differs per draw: sqrt(n) lambda / sd*, zero where lambda is.
+        sample = normal_sample(60, j, seed % 1000, shift=-0.15)
+        summary = summarize(sample)
+        draws = BootstrapDraws(sample, summary, bootstrap_counts(substream(seed, BOOTSTRAP), sample.n, 300))
+        sigma = adjusted_sigma_batch(draws.omega_star)
+        for per_draw, shifts in calls:
+            shifts = np.array(shifts[:j])
+            if per_draw:
+                lam = np.where(np.isinf(shifts), 0.0, shifts)
+                shift, omit = np.sqrt(sample.n) * 0.1 * lam / draws.sd_star, None
+            else:
+                omit = np.isinf(shifts)
+                shift = np.where(omit, 0.0, shifts)
+            warm = draws.statistic_draws(shift, StatisticKind.AQLR, omit)
+            cold = shifted_statistic_batch(StatisticKind.AQLR, draws.g_recentered_stud + shift, sigma, omit)
+            assert warm.tobytes() == cold.tobytes()
+
+    def test_a_repeated_call_solves_nothing(self, monkeypatch):
+        import cmselect.statistics
+
+        solved = []
+        original = cmselect.statistics.nonneg_projection_batch
+
+        def counted(sigma, v, *args, **kwargs):
+            solved.append(len(v))
+            return original(sigma, v, *args, **kwargs)
+
+        monkeypatch.setattr(cmselect.statistics, "nonneg_projection_batch", counted)
+        sample = normal_sample(80, 5, 21, shift=-0.1)
+        draws = BootstrapDraws(sample, summarize(sample), bootstrap_counts(substream(4, BOOTSTRAP), sample.n, 400))
+        selection = SelectionVector(np.array([0.0, 0.0, np.inf, 0.0, 0.0]))
+        first = draws.selection_draws(selection, StatisticKind.AQLR)
+        assert solved == [400]
+        assert draws.selection_draws(selection, StatisticKind.AQLR).tobytes() == first.tobytes()
+        assert solved == [400]
+        # Keeping the omitted moment re-solves only the draws whose
+        # certificate fails the KKT test there.
+        draws.selection_draws(zeros_selection(5), StatisticKind.AQLR)
+        assert len(solved) == 2 and 0 < solved[1] < 400
+
+
 # A fixed sample and fixed counts for the location and scale properties: one
 # violated, one nearly binding and one slack moment, correlated.
 _PROPERTY_VALUES = np.random.default_rng(73).standard_normal((80, 3)) @ np.array(

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmselect.errors import QPNoConvergence, SingularCovariance
-from cmselect.qp import inverse_spd, nonneg_projection, nonneg_projection_batch
+from cmselect.qp import certified, inverse_spd, nonneg_projection, nonneg_projection_batch
 from cmselect.statistics import adjusted_sigma_batch
 
 
@@ -117,6 +117,60 @@ def test_batch_with_a_singular_instance_reported():
     v = np.array([[-1.0, 2.0], [-1.0, -1.0]])
     with pytest.raises(SingularCovariance):
         nonneg_projection_batch(sigma, v)
+
+
+def test_batch_with_an_indefinite_clamped_block_reported():
+    # [[1, 2], [2, 1]] is invertible but not positive definite: with both
+    # coordinates clamped, the second LDL^T pivot is 1 - 4 = -3. A pivoted
+    # LU solves it and returns a number; the solver refuses it instead.
+    sigma = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(SingularCovariance):
+        nonneg_projection_batch(sigma, np.array([[-1.0, -1.0]]))
+    with pytest.raises(SingularCovariance):
+        nonneg_projection_batch(np.stack([np.eye(2), sigma]), np.array([[-1.0, -1.0], [-1.0, -1.0]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.0, 1.0),
+    slack=st.sampled_from([np.inf, 1e6]),
+)
+def test_omitted_coordinates_never_touch_the_bits(k, seed, density, slack):
+    # The kernel omits a moment by making it slack (+inf). Values, clamped
+    # sets and multipliers equal those of the compact problem on the kept
+    # coordinates bit for bit, and so do those with a large finite slack.
+    rng = np.random.default_rng(seed)
+    sigma = adjusted_sigma_batch(np.stack([random_spd(rng, k, jitter=0.1) for _ in range(30)]))
+    v = rng.standard_normal((30, k)) * 2
+    omit = rng.random(k) < density
+    kept = np.nonzero(~omit)[0]
+    full = nonneg_projection_batch(sigma, np.where(omit, slack, v))
+    compact = nonneg_projection_batch(sigma[:, kept][:, :, kept], v[:, kept])
+    assert full[1].tobytes() == compact[1].tobytes()
+    assert np.array_equal(full.clamped[:, kept], compact.clamped)
+    assert not full.clamped[:, omit].any()
+    assert full.multipliers[:, kept].tobytes() == compact.multipliers.tobytes()
+    assert not full.multipliers[:, omit].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_a_certificate_gives_the_solvers_bytes(k, seed):
+    # An instance certified at v, checked at a v' equal to v on its clamped
+    # set: where the solver's KKT test passes, t and the value are what a
+    # new solve at v' returns; where it fails, a new solve ends elsewhere.
+    rng = np.random.default_rng(seed)
+    sigma = np.stack([random_spd(rng, k, jitter=0.1) for _ in range(60)])
+    v = rng.standard_normal((60, k))
+    first = nonneg_projection_batch(sigma, v)
+    moved = np.where(first.clamped, v, v + rng.standard_normal((60, k)))
+    ok, t, values = certified(moved, first.clamped, first.multipliers, first.displacement)
+    again = nonneg_projection_batch(sigma, moved)
+    assert t[ok].tobytes() == again[0][ok].tobytes()
+    assert values[ok].tobytes() == again[1][ok].tobytes()
+    assert not np.any(np.all(again.clamped[~ok] == first.clamped[~ok], axis=1))
 
 
 def assert_kkt(sigma, v, t, values):

@@ -33,6 +33,11 @@ class TestKappa:
         with pytest.raises(DomainError):
             KappaSchedule.parse("fixed:-1")
 
+    @pytest.mark.parametrize("spelling", ["fixed:abc", "fixed:", "fixed:1,5"])
+    def test_parse_names_a_fixed_spelling_without_a_number(self, spelling):
+        with pytest.raises(DomainError, match=f"kappa schedule '{spelling}' needs a number after 'fixed:'"):
+            KappaSchedule.parse(spelling)
+
     @pytest.mark.parametrize("value", [0.0, -2.0, math.inf])
     def test_fixed_nonpositive_rejected_on_construction(self, value):
         with pytest.raises(DomainError, match="positive and finite"):
