@@ -214,6 +214,25 @@ def _mean_vectors(spec) -> tuple:
     return tuple(tuple(map(json_real, _list(mu))) for mu in spec)
 
 
+def _family(spec, j: int) -> CorrelationFamily:
+    """The config's family: a kind's name, or an object with "kind" (default
+    "Custom") and, for Custom alone, "rho"."""
+    spec = spec if isinstance(spec, dict) else {"kind": spec}
+    unknown = sorted(set(spec) - {"kind", "rho"})
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
+    kind = spec.get("kind", "Custom")
+    if "rho" in spec and kind != "Custom":
+        raise ValueError(f"rho is read only with kind 'Custom', not {kind!r}")
+    return CorrelationFamily(kind, j, tuple(map(json_real, _list(spec.get("rho", [])))))
+
+
+def _tables_name(name) -> str:
+    if type(name) is not str or not name:
+        raise TypeError(f"expected a file name, got {name!r}")
+    return name
+
+
 def load_config(path, overrides=None) -> tuple:
     """Parse an experiment config JSON into (ExperimentConfig, phases).
 
@@ -234,9 +253,7 @@ def load_config(path, overrides=None) -> tuple:
     raw.update(overrides or {})
 
     j = _convert("J", _integer, raw["J"])
-    fam = raw.get("family", "Zero")
-    fam = fam if isinstance(fam, dict) else {"kind": fam}
-    family = _convert("family", lambda f: CorrelationFamily(f.get("kind", "Custom"), j, tuple(f.get("rho", ()))), fam)
+    family = _convert("family", lambda spec: _family(spec, j), raw.get("family", "Zero"))
     fields = {key: _convert(key, convert, raw[key]) for key, convert in _CONVERTERS.items() if key in raw}
     fields.setdefault("r_mc", default_replications(j))
 
@@ -250,9 +267,9 @@ def load_config(path, overrides=None) -> tuple:
     alternatives = raw.get("alternatives", [])
     if not isinstance(alternatives, list):
         raise CmselectError("alternatives must list mean vectors")
-    if raw.get("rms_tables"):
+    if raw.get("rms_tables") is not None:
         fields["rms_tables"] = _convert(
-            "rms_tables", lambda name: RmsTables.from_json(Path(path).parent / name), raw["rms_tables"]
+            "rms_tables", lambda name: RmsTables.from_json(Path(path).parent / _tables_name(name)), raw["rms_tables"]
         )
 
     config = ExperimentConfig(

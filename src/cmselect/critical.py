@@ -176,9 +176,8 @@ class _Draws:
     supply ``g_recentered_stud`` (a row per draw), ``omega_star`` (one (J, J)
     Omega, or one per draw), ``mode``, ``n_draws`` and ``skipped``."""
 
-    # The AQLR clamped sets, and the QP certificates of each _DRAWS_CHUNK
-    # block of draws, carried between calls; None until the first.
-    _clamped = None
+    # The QP certificates of each _DRAWS_CHUNK block of draws, carried
+    # between AQLR calls; None until the first.
     _certificates = None
 
     @cached_property
@@ -196,33 +195,26 @@ class _Draws:
         masking omitted moments, evaluated _DRAWS_CHUNK draws at a time.
 
         Every AQLR call solves one QP per draw on the same G and Omega, so
-        each call leaves two things for the next (see
-        `shifted_statistic_batch`): its final clamped sets, the first guess
-        of the draws that must be solved again, and each draw's QP
-        certificate, which spares a new solve wherever it still holds. The
-        first call starts from the solver's default guess, the negative
-        entries, and builds the certificates as it solves, at no extra
-        solve. The adjusted Omega is built on the first call that keeps a
-        moment: with every moment omitted the statistic is zero and reads no
-        Omega.
+        each call leaves each draw's QP certificate for the next (see
+        `shifted_statistic_batch`), which spares a new solve wherever it
+        still holds. The first call builds the certificates as it solves, at
+        no extra solve. The adjusted Omega is built on the first call that
+        keeps a moment: with every moment omitted the statistic is zero and
+        reads no Omega.
         """
         vec = self.g_recentered_stud + shift
         sigma = self.omega_star
         if kind is StatisticKind.AQLR:
             if omit is None or not omit.all():
                 sigma = self._omega_adjusted
-            if self._clamped is None:
-                self._clamped = vec < 0.0
+            if self._certificates is None:
                 self._certificates = [Certificates() for _ in range(0, len(vec), _DRAWS_CHUNK)]
         out = np.empty(len(vec))
         for start in range(0, len(vec), _DRAWS_CHUNK):
             block = slice(start, start + _DRAWS_CHUNK)
             sub = sigma if sigma.ndim == 2 else sigma[block]
-            if kind is StatisticKind.MMM:
-                out[block] = shifted_statistic_batch(kind, vec[block], sub, omit)
-            else:
-                carry = self._clamped[block], self._certificates[start // _DRAWS_CHUNK]
-                out[block] = shifted_statistic_batch(kind, vec[block], sub, omit, *carry)
+            carry = None if kind is StatisticKind.MMM else self._certificates[start // _DRAWS_CHUNK]
+            out[block] = shifted_statistic_batch(kind, vec[block], sub, omit, carry)
         return out
 
     def selection_draws(self, selection: SelectionVector, kind: StatisticKind) -> np.ndarray:

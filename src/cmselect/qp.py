@@ -15,14 +15,13 @@ Solves min_{t >= 0} (v - t)' W (v - t) with W symmetric positive definite.
   The byte contract: an instance's value and multipliers depend on
   (Sigma_AA, v_A) alone, A the clamped set that the solver's KKT test
   certifies; omitted (+inf) or free coordinates never touch their bits,
-  nor does the batch the instance sits in. So a first guess of the
-  clamped sets (``start``) saves rounds without changing a byte, and the
-  returned certificate (A, its raw multipliers and Sigma s) can be reused:
-  `certified` checks it against a later v that equals the old one on A, bit
-  for bit, with the solver's own test, where(A, s, v + Sigma s) >=
-  -1e-10 (1 + |v|), and gives the bytes a new solve would return wherever
-  the test passes. An instance unfinished at the round cap raises
-  QPNoConvergence.
+  nor does the batch the instance sits in. So the returned certificate (A,
+  its raw multipliers and Sigma s) can be reused: `certified` checks it
+  against a later v that equals the old one on A, bit for bit, with the
+  solver's own test, where(A, s, v + Sigma s) >= -1e-10 (1 + |v|), and
+  gives the bytes a new solve would return wherever the test passes. Every
+  instance starts from the clamped set v < 0. An instance unfinished at
+  the round cap raises QPNoConvergence.
 
   Failure policy: a clamped block with an LDL^T pivot <= 0 raises
   SingularCovariance, and never yields NaN or inf. No production block
@@ -133,9 +132,7 @@ class Projection(tuple):
         return self
 
 
-def nonneg_projection_batch(
-    sigma: np.ndarray, v: np.ndarray, max_iter: int | None = None, start: np.ndarray | None = None
-) -> Projection:
+def nonneg_projection_batch(sigma: np.ndarray, v: np.ndarray, max_iter: int | None = None) -> Projection:
     """Batched counterpart of `nonneg_projection`, parameterized by Sigma = W^(-1).
 
     Substituting s = W (t - v) turns the optimality conditions into the
@@ -149,20 +146,18 @@ def nonneg_projection_batch(
     dimension), and SingularCovariance when a clamped block has a pivot
     <= 0.
 
-    ``start`` is an optional (B, K) boolean first guess of each instance's
-    clamped set, left unmodified; the default is ``v < 0``. An instance with
-    no negative entry is finished at t = v, certified by the empty set,
-    whatever its guess. The guess only changes how many rounds an instance
-    takes: its t, value and certificate come from the round that certifies
+    Every instance starts from the clamped set ``v < 0``; one with no
+    negative entry is finished at t = v, certified by the empty set. An
+    instance's t, value and certificate come from the round that certifies
     its final clamped set A. In that round s_A depends on (Sigma_AA, v_A)
     alone (`_clamped_solve`), and Sigma s on Sigma's columns A and s_A
     (`_product`): every step is elementwise across the batch, coordinates
     +inf in every instance are left out, and an instance's free coordinates
     add only signed zeros to its sums, which neither the value nor the KKT
-    test can see. So any guess that ends on the same set, any batch the
+    test can see. So any search that ends on the same set, any batch the
     instance sits in, and any number of +inf coordinates return the same
     value and multipliers as the compact problem on the finite
-    coordinates, bit for bit.
+    coordinates, bit for bit; `certified` rests on that.
     """
     v = np.asarray(v, dtype=float)
     batch, k = v.shape
@@ -179,8 +174,7 @@ def nonneg_projection_batch(
     dead = (vt == np.inf).all(axis=1)
     live = (~dead).nonzero()[0]
     v_live = vt[live]
-    start = None if start is None else np.transpose(start)[live]
-    sets, s, u = _pivot(np.ascontiguousarray(rows[live[:, None], live]), v_live, start, max_iter)
+    sets, s, u = _pivot(np.ascontiguousarray(rows[live[:, None], live]), v_live, max_iter)
     t, values = _finish(v_live, sets, s, v_live + u)
     if dead.any():
         shape = (k, batch)
@@ -200,16 +194,16 @@ def displacement_rows(sigma: np.ndarray, rows: np.ndarray, clamped: np.ndarray, 
     return _product(mm[rows], multipliers.T, clamped.T)
 
 
-def _pivot(rows: np.ndarray, v: np.ndarray, start, max_iter):
+def _pivot(rows: np.ndarray, v: np.ndarray, max_iter):
     """The pivoting rounds on moment-major ``rows`` (K, K, B) or (K, K, 1)
     and v (K, B): each instance's certified clamped set, raw multipliers
     and Sigma s, all (K, B)."""
     k, batch = v.shape
     if max_iter is None:
         max_iter = 50 * k
-    done = ~(v < 0.0).any(axis=0)
     # True marks coordinates clamped to zero, where the multiplier s lives.
-    clamped = v < 0.0 if start is None else np.array(start, dtype=bool) & (v < np.inf)
+    clamped = v < 0.0
+    done = ~clamped.any(axis=0)
     certified_sets = np.zeros((k, batch), dtype=bool)
     multipliers = np.zeros((k, batch))
     displacement = np.zeros((k, batch))

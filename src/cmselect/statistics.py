@@ -159,7 +159,6 @@ def shifted_statistic_batch(
     vec: np.ndarray,
     sigma: np.ndarray,
     omit: np.ndarray | None = None,
-    clamped: np.ndarray | None = None,
     certificates: Certificates | None = None,
 ) -> np.ndarray:
     """Evaluate S(vec_b, sigma_b) across a stack of draws.
@@ -173,12 +172,6 @@ def shifted_statistic_batch(
     as +inf, which it never clamps, and returns bit for bit the value of
     the program with the omitted rows and columns deleted.
 
-    ``clamped`` is an optional (B, J) boolean array that carries the
-    quadratic program's clamped sets from one call to the next on the same
-    draws. It is read as the solver's first guess, then overwritten with
-    the final ``t == 0``, which is False at every omitted moment. The guess
-    changes the solver's work, not its result.
-
     ``certificates`` carries, on the same draws, each draw's certificate
     from the last call that solved it. A QP value and its multipliers
     depend on (Sigma_AA, v_A) alone, A the certified clamped set, so a draw
@@ -187,16 +180,14 @@ def shifted_statistic_batch(
     and Sigma s from a new solve; if they also pass the
     solver's own KKT test at the new vector (`qp.certified`), the draw
     takes the value they give, which is the solver's value bit for bit.
-    Only the other draws go to the solver, warm, and their new certificates
-    replace the old.
+    Only the other draws go to the solver, which starts them from its own
+    first guess, and their new certificates replace the old.
     """
     batch, j_total = vec.shape
     if omit is None:
         omit = np.zeros(j_total, dtype=bool)
     keep = np.nonzero(~omit)[0]
     if keep.size == 0:
-        if clamped is not None:
-            clamped[:] = False
         return np.zeros(batch)
 
     if kind is StatisticKind.MMM:
@@ -206,24 +197,20 @@ def shifted_statistic_batch(
 
     v = np.where(omit, np.inf, vec) if keep.size < j_total else vec
     if certificates is None:
-        t, values = nonneg_projection_batch(sigma, v, start=clamped)
-    else:
-        t, values = _reuse_or_solve(sigma, v, clamped, certificates)
-    if clamped is not None:
-        np.equal(t, 0.0, out=clamped)
-    return values
+        return nonneg_projection_batch(sigma, v)[1]
+    return _reuse_or_solve(sigma, v, certificates)
 
 
-def _reuse_or_solve(sigma, v, start, certificates: Certificates):
-    """(t, values) of the draws (sigma, v): those whose certificates hold
+def _reuse_or_solve(sigma, v, certificates: Certificates):
+    """The values of the draws (sigma, v): those whose certificates hold
     reuse them, the rest are solved, and their certificates replaced."""
     if certificates.sets is None:
-        solved = nonneg_projection_batch(sigma, v, start=start)
+        solved = nonneg_projection_batch(sigma, v)
         certificates.sets, certificates.multipliers, certificates.displacements = (
             solved.clamped.T, solved.multipliers.T, solved.displacement.T
         )
         certificates.vectors = v.T
-        return solved[0], solved[1]
+        return solved[1]
     # Bitwise equality: -0.0 and +0.0 give different multipliers.
     same = v.T.view(np.int64) == certificates.vectors.view(np.int64)
     reuse = (same | ~certificates.sets).all(axis=0)
@@ -234,13 +221,11 @@ def _reuse_or_solve(sigma, v, start, certificates: Certificates):
         summed = displacement_rows(sigma, rows, certificates.sets.T, certificates.multipliers.T)
         certificates.displacements[rows] = np.where(gaps[rows], summed, certificates.displacements[rows])
     parts = certificates.sets, certificates.multipliers, certificates.displacements, certificates.vectors
-    ok, t, values = certified(v, *(part.T for part in parts[:3]))
+    ok, _, values = certified(v, *(part.T for part in parts[:3]))
     fresh = (~(reuse & ok)).nonzero()[0]
     if fresh.size:
-        solved = nonneg_projection_batch(
-            sigma if sigma.ndim == 2 else sigma[fresh], v[fresh], start=None if start is None else start[fresh]
-        )
-        t[fresh], values[fresh] = solved
+        solved = nonneg_projection_batch(sigma if sigma.ndim == 2 else sigma[fresh], v[fresh])
+        values[fresh] = solved[1]
         for part, new in zip(parts, (solved.clamped, solved.multipliers, solved.displacement, v[fresh])):
             part[:, fresh] = new.T
-    return t, values
+    return values

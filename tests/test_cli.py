@@ -577,6 +577,22 @@ class TestCmdSimulate:
             pytest.param({"alternatives": [["inf", 0]]}, "alternative means must be finite", id="alternative-inf"),
             pytest.param({"J": 3}, "Neg family is only defined for J in {2, 4, 10}", id="family-neg-j3"),
             pytest.param({"family": "Bogus"}, "unknown correlation family kind 'Bogus'", id="family-unknown-kind"),
+            pytest.param(
+                {"family": {"kind": "Zero", "extra": 1}}, "'family': unknown key 'extra'", id="family-extra-key"
+            ),
+            pytest.param(
+                {"family": {"kind": "Neg", "rho": [0.3]}},
+                "rho is read only with kind 'Custom', not 'Neg'",
+                id="family-neg-rho",
+            ),
+            pytest.param(
+                {"J": 3, "family": {"kind": "Custom", "rho": [0.5, False]}},
+                "'family': expected a number, got False",
+                id="family-bool-rho",
+            ),
+            pytest.param({"rms_tables": False}, "config key 'rms_tables'", id="rms-tables-false"),
+            pytest.param({"rms_tables": 0}, "config key 'rms_tables'", id="rms-tables-zero"),
+            pytest.param({"rms_tables": ""}, "config key 'rms_tables'", id="rms-tables-empty"),
         ],
     )
     def test_invalid_config_exits_two_before_replicating(self, tmp_path, capsys, monkeypatch, fields, fragment):

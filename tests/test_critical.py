@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from cmselect import (
     upper_quantile,
 )
 from cmselect.critical import (
+    _DRAWS_CHUNK,
     MODE_ASYMPTOTIC,
     MODE_BOOTSTRAP,
     PROCEDURE_ALIASES,
@@ -128,8 +131,8 @@ class TestAsymptotic:
         st.lists(st.lists(st.sampled_from([0.0, 0.0, 0.4, 1.5, np.inf]), min_size=10, max_size=10), min_size=3, max_size=3),
     )
     def test_warm_aqlr_draws_equal_a_cold_solve(self, j, seed, selections):
-        # Every call after the first starts from the clamped sets the last
-        # one left; its draws are still those of a cold solve, byte for byte.
+        # Every call after the first reuses the QP certificates the earlier
+        # ones left; its draws are still those of a cold solve, byte for byte.
         summary = summarize(normal_sample(80, j, seed % 1000, shift=-0.1))
         draws = AsymptoticDraws(summary.correlation, 300, substream(seed, ASYMPTOTIC))
         sigma = adjusted_sigma_batch(summary.correlation[None])[0]
@@ -379,12 +382,8 @@ class TestMomentMajorLayout:
         values = draws.statistic_draws(np.zeros(3), StatisticKind.AQLR, omit)
         assert np.array_equal(values, np.zeros(draws.n_draws))
         assert "_omega_adjusted" not in draws.__dict__
-        assert not draws._clamped.any()
-        # Clamped sets left by an earlier call are cleared too.
-        draws._clamped[:] = True
         draws.statistic_draws(np.zeros(3), StatisticKind.AQLR, omit)
         assert "_omega_adjusted" not in draws.__dict__
-        assert not draws._clamped.any()
         draws.statistic_draws(np.zeros(3), StatisticKind.AQLR, np.array([True, False, True]))
         assert "_omega_adjusted" in draws.__dict__
 
@@ -402,25 +401,29 @@ class TestCertificateReuse:
             min_size=2,
             max_size=5,
         ),
+        chunk=st.sampled_from([_DRAWS_CHUNK, 64]),
     )
-    def test_every_call_returns_the_bytes_of_a_cold_solve(self, j, seed, calls):
+    def test_every_call_returns_the_bytes_of_a_cold_solve(self, j, seed, calls, chunk):
         # A call is a selection (shifts, some omitted) or, RSW-style, a shift
         # that differs per draw: sqrt(n) lambda / sd*, zero where lambda is.
+        # With 64 draws a block, each block carries certificates of its own;
+        # the cold solve takes every draw in one batch.
         sample = normal_sample(60, j, seed % 1000, shift=-0.15)
         summary = summarize(sample)
         draws = BootstrapDraws(sample, summary, bootstrap_counts(substream(seed, BOOTSTRAP), sample.n, 300))
         sigma = adjusted_sigma_batch(draws.omega_star)
-        for per_draw, shifts in calls:
-            shifts = np.array(shifts[:j])
-            if per_draw:
-                lam = np.where(np.isinf(shifts), 0.0, shifts)
-                shift, omit = np.sqrt(sample.n) * 0.1 * lam / draws.sd_star, None
-            else:
-                omit = np.isinf(shifts)
-                shift = np.where(omit, 0.0, shifts)
-            warm = draws.statistic_draws(shift, StatisticKind.AQLR, omit)
-            cold = shifted_statistic_batch(StatisticKind.AQLR, draws.g_recentered_stud + shift, sigma, omit)
-            assert warm.tobytes() == cold.tobytes()
+        with mock.patch("cmselect.critical._DRAWS_CHUNK", chunk):
+            for per_draw, shifts in calls:
+                shifts = np.array(shifts[:j])
+                if per_draw:
+                    lam = np.where(np.isinf(shifts), 0.0, shifts)
+                    shift, omit = np.sqrt(sample.n) * 0.1 * lam / draws.sd_star, None
+                else:
+                    omit = np.isinf(shifts)
+                    shift = np.where(omit, 0.0, shifts)
+                warm = draws.statistic_draws(shift, StatisticKind.AQLR, omit)
+                cold = shifted_statistic_batch(StatisticKind.AQLR, draws.g_recentered_stud + shift, sigma, omit)
+                assert warm.tobytes() == cold.tobytes()
 
     def test_a_repeated_call_solves_nothing(self, monkeypatch):
         import cmselect.statistics
@@ -552,7 +555,7 @@ class TestBootstrapCriticalValues:
     def test_carried_clamped_sets_never_change_a_critical_value(self):
         # One J=10 sample whose selections differ: GMS keeps moments that CMS
         # omits, and RSW keeps all ten with positive shifts. Each AQLR call
-        # on the shared draws starts from the previous call's clamped sets.
+        # on the shared draws reuses the certificates the earlier calls left.
         sample = simulate_sample(CorrelationFamily("Neg", 10), (0.0,) * 5 + (0.3,) * 5, 100, substream(1, 0))
         summary = summarize(sample)
         counts = bootstrap_counts(substream(1, BOOTSTRAP), sample.n, 1000)

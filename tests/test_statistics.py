@@ -15,9 +15,17 @@ def random_spd(rng, j, spread=1.0):
     return a @ a.T + j * np.eye(j)
 
 
-def _statistic(kind, vec, sigma, omit=None, clamped=None):
+def _statistic(kind, vec, sigma, omit=None):
     """S(vec, sigma) through the one statistic kernel, as a batch of one."""
-    return shifted_statistic_batch(kind, np.asarray(vec, dtype=float)[None], sigma, omit, clamped)[0]
+    return shifted_statistic_batch(kind, np.asarray(vec, dtype=float)[None], sigma, omit)[0]
+
+
+def _argmin_clamped(vec, sigma, omit=None):
+    """t == 0, (1, J), at the AQLR program's minimizer t, from the batch
+    solver on the vector the kernel gives it (+inf where omitted)."""
+    vec = np.asarray(vec, dtype=float)
+    v = vec if omit is None else np.where(omit, np.inf, vec)
+    return nonneg_projection_batch(sigma, v[None])[0] == 0.0
 
 
 def _adjusted(sigma):
@@ -201,16 +209,16 @@ class TestAqlr:
         v, n = -0.5, 100
         grid = np.arange(0.0, 5.0, 1e-4)
         oracle = n * np.min((v - grid) ** 2)
-        clamped = np.zeros((1, 1), dtype=bool)
-        value = _statistic(StatisticKind.AQLR, np.array([np.sqrt(n) * v]), np.eye(1), clamped=clamped)
+        value = _statistic(StatisticKind.AQLR, np.array([np.sqrt(n) * v]), np.eye(1))
+        clamped = _argmin_clamped(np.array([np.sqrt(n) * v]), np.eye(1))
         assert value == pytest.approx(oracle, abs=1e-8)
         assert value == pytest.approx(25.0)
         assert clamped[0, 0]
 
     def test_two_dimensional_diagonal_case(self):
         v = np.array([-0.3, 0.4])
-        clamped = np.zeros((1, 2), dtype=bool)
-        value = _statistic(StatisticKind.AQLR, 10.0 * v, np.eye(2), clamped=clamped)
+        value = _statistic(StatisticKind.AQLR, 10.0 * v, np.eye(2))
+        clamped = _argmin_clamped(10.0 * v, np.eye(2))
         assert value == pytest.approx(9.0)
         assert clamped[0].tolist() == [True, False]
         # cross-check against a 2-D grid
@@ -221,9 +229,9 @@ class TestAqlr:
 
     def test_interior_feasible_point_gives_zero(self):
         v = np.array([0.2, 1.5, 0.0])
-        clamped = np.ones((1, 3), dtype=bool)
         sigma = random_spd(np.random.default_rng(0), 3)
-        assert _statistic(StatisticKind.AQLR, 3.0 * v, sigma, clamped=clamped) == 0.0
+        assert _statistic(StatisticKind.AQLR, 3.0 * v, sigma) == 0.0
+        clamped = _argmin_clamped(3.0 * v, sigma)
         # The minimizer is the vector itself: zero only where it is zero.
         assert clamped[0].tolist() == [False, False, True]
 
@@ -398,8 +406,8 @@ def test_aqlr_agrees_with_the_reference_solver():
             kept = np.sort(rng.choice(j, size=k, replace=False))
             omit = np.ones(j, dtype=bool)
             omit[kept] = False
-            clamped = np.zeros((1, j), dtype=bool)
-            value = _statistic(StatisticKind.AQLR, vec, sigma, omit, clamped)
+            value = _statistic(StatisticKind.AQLR, vec, sigma, omit)
+            clamped = _argmin_clamped(vec, sigma, omit)
             t_ref, value_ref = nonneg_projection(inverse_spd(sigma[np.ix_(kept, kept)]), vec[kept])
             assert value == pytest.approx(value_ref, rel=1e-10, abs=1e-10)
             assert clamped[0, kept].tolist() == (t_ref == 0.0).tolist()
