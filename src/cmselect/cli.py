@@ -85,7 +85,7 @@ def _shared_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--draws", type=int, default=10000)
     parser.add_argument("--beta", type=float, default=None, help="first-stage level (rsw)")
     parser.add_argument("--seed", type=_seed, default=0)
-    parser.add_argument("--rms-tables", default=None, help="JSON lookup tables for rms")
+    parser.add_argument("--rms-tables", type=_tables_name, default=None, help="JSON lookup tables for rms")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _decision_kwargs(args) -> dict:
-    tables = RmsTables.from_json(args.rms_tables) if args.rms_tables else None
+    tables = None if args.rms_tables is None else RmsTables.from_json(args.rms_tables)
     return {
         "kind": args.statistic,
         "procedure": args.procedure,
@@ -206,7 +206,7 @@ def cmd_invert(args) -> int:
 def _convert(key: str, convert, value):
     try:
         return convert(value)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as err:
         raise CmselectError(f"config key {key!r}: {err}") from err
 
 
@@ -229,7 +229,7 @@ def _family(spec, j: int) -> CorrelationFamily:
 
 def _tables_name(name) -> str:
     if type(name) is not str or not name:
-        raise TypeError(f"expected a file name, got {name!r}")
+        raise argparse.ArgumentTypeError(f"expected a file name, got {name!r}")
     return name
 
 

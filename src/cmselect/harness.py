@@ -114,6 +114,9 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("J", "n", "r_mc", "b", "seed", "threads"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise DomainError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.n < 2:
             raise DomainError("n must be at least 2")
         if self.r_mc < 1:

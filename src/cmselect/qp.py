@@ -9,7 +9,8 @@ Solves min_{t >= 0} (v - t)' W (v - t) with W symmetric positive definite.
   Sigma = W^(-1) directly (block principal pivoting, Judice & Pires 1994,
   with Murty's least-index single pivot), so no inverse is ever formed.
   Each round solves every pending instance's clamped block with one
-  unpivoted LDL^T factorization run elementwise across the batch, and sums
+  unpivoted LDL^T factorization run elementwise across the batch
+  (`ldl_factor`, the kernel `statistics.correlation_det` shares), and sums
   Sigma s column by column in a fixed order.
 
   The byte contract: an instance's value and multipliers depend on
@@ -285,7 +286,8 @@ def _clamped_solve(rows: np.ndarray, v: np.ndarray, active: np.ndarray) -> np.nd
     whose set has more than c coordinates are the first ``reach[c]``, and
     each instance's Sigma_AA, lower triangle only, is gathered into the
     leading rows and columns of an (m, m) block, m the largest size, in
-    ascending order of the coordinates.
+    ascending order of the coordinates for `ldl_factor`. A pivot <= 0 (or
+    NaN) raises SingularCovariance rather than return NaN or inf.
     """
     k, p = active.shape
     sizes = active.sum(axis=0)
@@ -309,51 +311,50 @@ def _clamped_solve(rows: np.ndarray, v: np.ndarray, active: np.ndarray) -> np.nd
     work = np.zeros((m, m, p))
     for i, cut in enumerate(reach):
         work[i, : i + 1, :cut] = rows.take(row[i, :cut] + column[: i + 1, :cut])
-    s[perm, order] = _ldl_solve(work, sizes, reach, -v.take(perm * p + order, mode="clip"))
+    y = -v.take(perm * p + order, mode="clip")
+    pivots = ldl_factor(work, reach, y)
+    if not ((pivots > 0.0) | (np.arange(m)[:, None] >= sizes)).all():
+        raise SingularCovariance("QP clamped block is not positive definite")
+    # Past an instance's set size the entries of y are garbage.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y /= pivots
+        for j in range(m - 1, 0, -1):
+            y[:j, : reach[j]] -= work[:j, j, : reach[j]] * y[j, : reach[j]]
+    s[perm, order] = y
     return s[:k]
 
 
-def _ldl_solve(work: np.ndarray, sizes: np.ndarray, reach: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """s with Sigma_AA s = rhs for each instance laid out by `_clamped_solve`:
-    ``work`` (m, m, P) holds the blocks and is overwritten, as is ``rhs``
-    (m, P); the entries of s past an instance's set size are garbage.
+def ldl_factor(work: np.ndarray, reach, rhs: np.ndarray | None = None) -> np.ndarray:
+    """Factor each block of moment-major ``work`` (m, m, P) as L D L^T
+    without pivoting, in place, and return the pivots D (m, P), a view of
+    its diagonal: the one elimination of the package, under the batch QP
+    (`_clamped_solve`) and `statistics.correlation_det`.
 
-    One LDL^T factorization without pivoting, right-looking and elementwise
-    across the batch. Step j touches only the instances whose set reaches
-    past row j, and no entry of an instance's own block reads its padding
-    rows, so its bytes are those of the same factorization of its compact
-    Sigma_AA alone, whichever instances share its batch. It reads the lower
-    triangle alone (a bootstrap Omega is not bitwise symmetric) and keeps L
-    in the upper one. Unpivoted LDL^T is backward stable on symmetric
-    positive definite blocks (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 10); a pivot <= 0 (or NaN) means the block is not
-    positive definite, which raises SingularCovariance rather than return
-    NaN or inf.
+    Step j subtracts (a_ij / a_jj) a_cj from each entry a_ic of the
+    trailing lower triangle, row by row, elementwise across the batch, and
+    row i only for the first ``reach[i]`` instances (the others' row i is
+    padding). Only the lower triangle is read (a bootstrap Omega is not
+    bitwise symmetric), and no instance reads another's entries or its own
+    padding, so its bytes are those of its compact block factored alone.
+    With ``rhs`` (m, P) the same pass overwrites it with L^(-1) rhs and
+    stores L_ij at work[j, i] for a back substitution. Past a pivot <= 0
+    or NaN a block is garbage; the caller checks the pivots. Unpivoted
+    LDL^T is backward stable on symmetric positive definite blocks
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
     """
-    m, _, p = work.shape
-    pivots = work.reshape(m * m, p)[:: m + 1]
-    y = rhs
+    m = work.shape[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(m - 1):
             below = reach[j + 1]
             column = work[j + 1 :, j, :below]
-            scaled = column / pivots[j, :below]
-            # The trailing lower triangle in two bands, each over only the
-            # instances that reach its first row: the rows above the middle
-            # and their square, then the rows from the middle on.
-            mid = (j + 1 + m) // 2
-            work[j + 1 : mid, j + 1 : mid, :below] -= scaled[: mid - j - 1, None] * column[: mid - j - 1]
-            if mid < m and reach[mid]:
-                cut = reach[mid]
-                work[mid:, j + 1 :, :cut] -= scaled[mid - j - 1 :, None, :cut] * column[:, :cut]
-            y[j + 1 :, :below] -= scaled * y[j, :below]
-            work[j, j + 1 :, :below] = scaled
-        if not ((pivots > 0.0) | (np.arange(m)[:, None] >= sizes)).all():
-            raise SingularCovariance("QP clamped block is not positive definite")
-        s = y / pivots
-        for j in range(m - 1, 0, -1):
-            s[:j, : reach[j]] -= work[:j, j, : reach[j]] * s[j, : reach[j]]
-    return s
+            scaled = column / work[j, j, :below]
+            for i in range(j + 1, m):
+                cut = reach[i]
+                work[i, j + 1 : i + 1, :cut] -= scaled[i - j - 1, :cut] * column[: i - j, :cut]
+            if rhs is not None:
+                rhs[j + 1 :, :below] -= scaled * rhs[j, :below]
+                work[j, j + 1 :, :below] = scaled
+    return work.reshape(m * m, -1)[:: m + 1]
 
 
 def _product(rows: np.ndarray, s: np.ndarray, active: np.ndarray) -> np.ndarray:

@@ -142,9 +142,9 @@ SELECTIONS = {1: phi1, 2: phi2, 3: phi3, 4: phi4}
 
 def check_phi(phi) -> None:
     """Raise DomainError unless ``phi`` is a key of SELECTIONS; an
-    unhashable value is not one."""
+    unhashable value is not one, nor is a boolean (True == 1)."""
     try:
-        known = phi in SELECTIONS
+        known = not isinstance(phi, (bool, np.bool_)) and phi in SELECTIONS
     except TypeError:
         known = False
     if not known:

@@ -27,8 +27,9 @@ Andrews and Barwick (2012), one routine for every caller,
 `adjusted_sigma_batch`: the statistic on data passes a batch of one, and
 the draws objects' one adjusted Omega (`critical._Draws`) the asymptotic
 correlation as a batch of one or the whole bootstrap (B, J, J) stack. Its
-determinant, `correlation_det`, is one unpivoted LDL^T factorization run
-across the stack on moment-major rows, not a LAPACK LU per matrix.
+determinant, `correlation_det`, factors the whole stack on moment-major rows
+with the batch QP's unpivoted LDL^T kernel (`qp.ldl_factor`), not with a
+LAPACK LU per matrix.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import DegenerateColumn, SingularCovariance
 from .moments import MomentSummary
-from .qp import certified, displacement_rows, nonneg_projection_batch
+from .qp import certified, displacement_rows, ldl_factor, nonneg_projection_batch
 
 # The quadratic-form statistic shrinks toward the diagonal when the
 # correlation determinant falls below this constant.
@@ -74,11 +75,11 @@ def adjusted_sigma_batch(sigma: np.ndarray) -> np.ndarray:
 def correlation_det(sigma: np.ndarray) -> np.ndarray:
     """det(correlation) of each covariance matrix in a stack (B, K, K).
 
-    One LDL^T factorization without pivoting runs on every matrix at once:
-    the lower triangles are copied moment-major, (K, K, B), so each step
-    works on contiguous length-B rows, and the determinant is the product of
-    the pivot ratios d_i / var_i, so no correlation is formed. A matrix with
-    a non-positive or NaN pivot is singular or indefinite; for those alone
+    The lower triangles are copied moment-major, (K, K, B), so that the QP's
+    LDL^T kernel (`qp.ldl_factor`) factors every matrix at once on
+    contiguous length-B rows, and the determinant is the product of the
+    pivot ratios d_i / var_i, so no correlation is formed. A matrix with a
+    non-positive or NaN pivot is singular or indefinite; for those alone
     the determinant is LAPACK's, of the explicit correlation.
     """
     batch, k, _ = sigma.shape
@@ -86,19 +87,13 @@ def correlation_det(sigma: np.ndarray) -> np.ndarray:
     for i in range(k):
         work[i, : i + 1] = sigma[:, i, : i + 1].T
     var = np.diagonal(work).T.copy()
-    pivot = work[0, 0]
-    det = pivot / var[0]
-    factored = pivot > 0.0
+    pivots = ldl_factor(work, [batch] * k)
+    factored = (pivots > 0.0).all(axis=0)
     # Past a failed pivot a matrix's entries, and its det, are garbage.
     with np.errstate(divide="ignore", invalid="ignore"):
+        det = pivots[0] / var[0]
         for j in range(1, k):
-            column = work[j:, j - 1]
-            scaled = column / pivot
-            for i in range(j, k):
-                work[i, j : i + 1] -= scaled[i - j] * column[: i - j + 1]
-            pivot = work[j, j]
-            factored &= pivot > 0.0
-            det *= pivot / var[j]
+            det *= pivots[j] / var[j]
     if not factored.all():
         det[~factored] = _explicit_correlation_det(sigma[~factored])
     return det

@@ -177,6 +177,15 @@ class TestCmdTest:
             assert main(["simulate", str(config), "--dry-run"]) == 2
             assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["test", "invert"])
+    @pytest.mark.parametrize("procedure", ["gms", "rms"])
+    def test_an_empty_rms_tables_flag_is_refused(self, violated_csv, capsys, command, procedure):
+        # An empty name names no file; it is not the same as leaving the flag out.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(violated_csv), "--procedure", procedure, "--rms-tables", "", "--draws", "200"])
+        assert exit_info.value.code == 2
+        assert "argument --rms-tables: expected a file name, got ''" in capsys.readouterr().err
+
     @pytest.mark.parametrize("procedure", ["gms", "cms", "rsw"])
     @pytest.mark.parametrize("beta", ["7", "0.05", "0"])
     def test_beta_outside_its_domain_exits_two_for_every_procedure(self, violated_csv, capsys, procedure, beta):

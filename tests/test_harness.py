@@ -145,6 +145,19 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match="phi"):
             small_config(phi=phi)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    @pytest.mark.parametrize("field", ["J", "n", "r_mc", "b", "seed", "threads", "phi"])
+    def test_rejects_a_boolean_in_an_integer_field(self, field, flag):
+        # True == 1 and hashes as 1, so a boolean would pass every range check.
+        message = "phi must be one of" if field == "phi" else f"{field} must be an integer, not {flag!r}"
+        with pytest.raises(DomainError, match=message):
+            small_config(**{field: flag})
+
+    def test_accepts_numpy_integers(self):
+        integers = dict(J=np.int64(2), n=np.int32(50), r_mc=np.int64(200), b=np.int16(150), seed=np.uint32(7))
+        config = small_config(**integers, threads=np.int8(1), phi=np.int64(2))
+        assert (config.J, config.n, config.seed, config.phi) == (2, 50, 7, 2)
+
     def test_procedures_are_stored_by_their_canonical_names(self):
         config = small_config(procedures=("gms", "cms-fc", "Cms", "rsw"))
         assert config.procedures == ("GMS", "CMS_FC", "CMS", "RSW")

@@ -1,11 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cmselect import statistics
 from cmselect.errors import QPNoConvergence, SingularCovariance
 from cmselect.qp import certified, inverse_spd, nonneg_projection, nonneg_projection_batch
-from cmselect.statistics import adjusted_sigma_batch
+from cmselect.statistics import adjusted_sigma_batch, correlation_det
 
 
 def random_spd(rng, k, jitter=1.0):
@@ -195,3 +198,57 @@ def test_ties_stay_optimal():
     v[rng.random((300, k)) < 0.4] = 0.0
     t, values = nonneg_projection_batch(sigma, v)
     assert_kkt(sigma, v, t, values)
+
+
+def _integer_stack(k, batch):
+    """(batch, k, k) covariances D L L' D, exact in float64: L lower
+    triangular with 2 on the diagonal and entries in {-1, 0, 1} below it,
+    D a diagonal of integers 1..4, all from integer arithmetic and L L'
+    accumulated one column of L at a time. So the stack is symmetric
+    positive definite, far from singular at K <= 25, and its bits depend on
+    no BLAS, random stream or platform."""
+    b = np.arange(batch)[:, None, None]
+    i = np.arange(k)[None, :, None]
+    c = np.arange(k)[None, None, :]
+    lower = np.where(c < i, (7 * i + 3 * c + 5 * b) % 3 - 1, 0) + np.where(c == i, 2, 0)
+    product = np.zeros((batch, k, k), dtype=np.int64)
+    for r in range(k):
+        product += lower[:, :, r, None] * lower[:, None, :, r]
+    scale = 1 + (3 * b + i) % 4
+    return (product * scale * np.swapaxes(scale, 1, 2)).astype(float)
+
+
+def _integer_v(k, batch):
+    """(batch, k) half-integers in [-2, 2], negative in over a third of the
+    entries, with +inf (an omitted moment) on a sparse pattern and, from
+    K = 4 on, on coordinate 1 of every instance."""
+    b = np.arange(batch)[:, None]
+    j = np.arange(k)[None, :]
+    v = ((11 * b + 5 * j) % 9 - 4) / 2.0
+    v = np.where((b + 2 * j) % 7 == 3, np.inf, v)
+    if k >= 4:
+        v[:, 1] = np.inf
+    return v
+
+
+# SHA-256 of every output below, which pins the bytes of the LDL^T kernel
+# that the determinant and the batch QP share: a change to its arithmetic or
+# its order of operations moves it.
+KERNEL_BYTES = "909af21408172ea8b89e69ead3dcb9c93d8d12cf1423d1b9680297a7cef95d85"
+
+
+def test_kernel_bytes_are_pinned(monkeypatch):
+    def refuse(sigma):
+        raise AssertionError("an SPD stack reached the LAPACK determinant")
+
+    monkeypatch.setattr(statistics, "_explicit_correlation_det", refuse)
+    digest = hashlib.sha256()
+    for k in range(1, 26):
+        for batch in (1, 2, 7, 40):
+            sigma = _integer_stack(k, batch)
+            adjusted = adjusted_sigma_batch(sigma)
+            solved = nonneg_projection_batch(adjusted, _integer_v(k, batch))
+            outputs = (correlation_det(sigma), adjusted, *solved, solved.clamped, solved.multipliers, solved.displacement)
+            for array in outputs:
+                digest.update(array.tobytes())
+    assert digest.hexdigest() == KERNEL_BYTES

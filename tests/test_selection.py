@@ -124,3 +124,12 @@ def test_phi_k_dispatch():
         phi_k(6, xi)
     with pytest.raises(DomainError):
         phi_k(5, xi)
+
+
+@pytest.mark.parametrize("phi", [True, False, np.True_])
+def test_a_boolean_is_not_a_selection_number(phi):
+    # True == 1 and hashes as 1, so it is a key of SELECTIONS.
+    xi = np.array([0.5, 3.0])
+    with pytest.raises(DomainError, match="phi must be one of"):
+        phi_k(phi, xi)
+    assert np.array_equal(phi_k(np.int64(3), xi).shifts, phi3(xi).shifts)

@@ -156,6 +156,15 @@ class TestCorrelationDeterminant:
         assert adjusted_sigma_batch(sigma)[above].tobytes() == sigma[above].tobytes()
 
     @settings(max_examples=100, deadline=None)
+    @given(covariance_stacks())
+    def test_each_matrix_gets_the_bytes_it_gets_alone(self, sigma):
+        det, adjusted = correlation_det(sigma), adjusted_sigma_batch(sigma)
+        for i in range(len(sigma)):
+            alone = sigma[i : i + 1]
+            assert det[i : i + 1].tobytes() == correlation_det(alone).tobytes()
+            assert adjusted[i : i + 1].tobytes() == adjusted_sigma_batch(alone).tobytes()
+
+    @settings(max_examples=100, deadline=None)
     @given(
         st.integers(min_value=2, max_value=40),
         st.floats(min_value=1e-9, max_value=1e-2),
