@@ -14,6 +14,11 @@ method with a feasibility safeguard on 1 + lam' g_i > 0 converges in a
 handful of iterations. Duplicated or collinear violated columns make the
 Newton system singular; its minimum-norm solution then gives the step, and
 the tilt equals that of the sample without the redundant columns.
+
+A failed Newton solve leaves a direction d = lam / max|lam| <= 0. If every
+g_i'd > 0 beyond rounding, then (G'p)'d > 0 for each probability vector p,
+so some (G'p)_j < 0 and no p is feasible (Gordan's theorem; Owen, Empirical
+Likelihood, 2001, ch. 3). Without such a direction the failure is the solver's.
 """
 
 from __future__ import annotations
@@ -80,33 +85,15 @@ class TiltResult:
         }
 
 
-def _phase_one(g: np.ndarray) -> bool:
-    # Imported here: the LP runs only to classify a diverging dual solve, so
-    # the common path never loads scipy.
-    from scipy.optimize import linprog
-
-    n, j = g.shape
-    # Variables (p_1..p_n): maximize 0 subject to sum p = 1, p >= 0, g'p >= 0.
-    result = linprog(
-        c=np.zeros(n),
-        A_ub=-g.T,
-        b_ub=np.zeros(j),
-        A_eq=np.ones((1, n)),
-        b_eq=np.array([1.0]),
-        bounds=[(0.0, 1.0)] * n,
-        method="highs",
-    )
-    return bool(result.status == 0)
-
-
 def tilt(sample: MomentSample) -> TiltResult:
     """Solve the constrained empirical-likelihood problem for a sample.
 
     Returns the uniform solution untouched when the sample mean already
     satisfies every constraint, a full solution otherwise, or a result with
-    status "Infeasible" when no probability vector works. Raises NoConvergence
-    if the Newton iteration stalls above tolerance, which indicates a solver
-    failure rather than infeasibility.
+    status "Infeasible" when a certificate proves that no probability vector
+    works: an all-negative column or a failed solve's dual direction. Raises
+    NoConvergence when the dual solve diverges or stalls without one, a
+    solver failure on a sample not proven infeasible.
     """
     g = sample.values
     n, j = g.shape
@@ -118,16 +105,12 @@ def tilt(sample: MomentSample) -> TiltResult:
     if np.any(g.max(axis=0) < 0.0):
         return TiltResult(status="Infeasible")
 
-    # Attempt the dual solve directly; the dual is unbounded exactly when the
-    # primal has no interior point, so the phase-one program only runs to
-    # classify a diverging solve. This keeps the common path free of LP calls.
-    try:
-        lam, iterations, residual = _dual_newton(g)
-    except NoConvergence:
-        if not _phase_one(g):
-            return TiltResult(status="Infeasible")
-        raise
-    return _build_result(sample, lam, iterations, residual)
+    lam, iterations, residual, failure = _dual_newton(g)
+    if failure is None:
+        return _build_result(sample, lam, iterations, residual)
+    if _separates(g, lam):
+        return TiltResult(status="Infeasible")
+    raise NoConvergence(failure)
 
 
 def _uniform_result(sample: MomentSample, mean: np.ndarray) -> TiltResult:
@@ -149,7 +132,11 @@ def _uniform_result(sample: MomentSample, mean: np.ndarray) -> TiltResult:
 
 
 def _dual_newton(g: np.ndarray):
-    """Maximize sum log(1 + lam'g_i) over lam <= 0 by projected Newton."""
+    """Maximize sum log(1 + lam'g_i) over lam <= 0 by projected Newton.
+
+    Returns (lam, iterations, residual, failure), ``failure`` being None on
+    convergence and else the message to raise if ``lam`` certifies nothing.
+    """
     n, j = g.shape
     scale = max(1.0, float(np.abs(g).max()))
     tol = _KKT_TOL * scale
@@ -160,7 +147,7 @@ def _dual_newton(g: np.ndarray):
     for iteration in range(1, _MAX_ITER + 1):
         residual, moments = _residual(g, lam, u, tol, scale)
         if residual <= tol:
-            return lam, iteration - 1, residual
+            return lam, iteration - 1, residual, None
 
         grad = n * moments
         # Coordinates pinned at zero whose gradient pushes outward stay fixed.
@@ -201,15 +188,26 @@ def _dual_newton(g: np.ndarray):
         lam, u, h_val = found
         if np.abs(lam).max() > 1e12:
             # Diverging multipliers: the dual is unbounded, meaning the primal
-            # has no interior point. Bail out and let the caller classify.
-            raise NoConvergence("EL dual diverged; primal likely infeasible")
+            # has no interior point. The caller reads the direction.
+            return lam, iteration, None, "EL dual diverged, but its direction does not certify infeasibility"
 
     residual = _residual(g, lam, u, tol, scale)[0]
     if residual <= max(tol, 1e-8 * scale):
-        return lam, _MAX_ITER, residual
-    raise NoConvergence(
+        return lam, _MAX_ITER, residual, None
+    return lam, _MAX_ITER, residual, (
         f"EL dual Newton stalled with KKT residual {residual:.3e} after {_MAX_ITER} iterations"
     )
+
+
+def _separates(g: np.ndarray, lam: np.ndarray) -> bool:
+    """Whether d = lam / max|lam| proves the constraints infeasible: d <= 0,
+    and every g_i'd exceeds J * eps * |g_i|'|d|, twice the rounding bound of
+    a J-term dot product."""
+    if not lam.any():
+        return False
+    d = lam / np.abs(lam).max()
+    margin = g.shape[1] * np.finfo(float).eps * (np.abs(g) @ np.abs(d))
+    return bool(np.all(d <= 0.0) and np.all(g @ d > margin))
 
 
 def _line_search(g, lam, h_val, grad, direction):

@@ -1,9 +1,10 @@
 """Independent oracles for the tests.
 
 Solver-independent oracles for the constrained empirical-likelihood tests,
-shared between the unit suite and the acceptance suite, the determinant
-adjustment with LAPACK's determinant, and a replicate-major construction of
-the bootstrap draws. Nothing in here may import from cmselect.tilt.
+shared between the unit suite and the acceptance suite, a linear program for
+the tilt's feasibility verdict, the determinant adjustment with LAPACK's
+determinant, and a replicate-major construction of the bootstrap draws.
+Nothing in here may import from cmselect.tilt.
 """
 
 import math
@@ -134,6 +135,25 @@ def slsqp_candidate(g):
     if np.all(p > 0) and np.all(p @ g >= -1e-12):
         return p, float(np.log(p).sum())
     return None
+
+
+def lp_feasible(g):
+    """Whether some probability vector p has p'g >= 0 in every column: the
+    phase-one linear program, solved by HiGHS. Boundary points count, so a
+    sample feasible only where some p_i = 0 is feasible here."""
+    from scipy.optimize import linprog
+
+    n, j = g.shape
+    result = linprog(
+        c=np.zeros(n),
+        A_ub=-g.T,
+        b_ub=np.zeros(j),
+        A_eq=np.ones((1, n)),
+        b_eq=np.array([1.0]),
+        bounds=[(0.0, 1.0)] * n,
+        method="highs",
+    )
+    return bool(result.status == 0)
 
 
 def lapack_correlation_det(sigma):

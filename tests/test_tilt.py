@@ -1,13 +1,21 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmselect import MomentSample, summarize, tilt
+from cmselect.cli import main
 from cmselect.critical import selection_step
+from cmselect.errors import NoConvergence
 from cmselect.harness import simulate_sample
 from cmselect.moments import CorrelationFamily
 from cmselect.selection import KappaKind, KappaSchedule
 from cmselect.streams import substream
-from oracles import pairwise_polish, simplex_grid_maximize, slsqp_candidate
+from oracles import lp_feasible, pairwise_polish, simplex_grid_maximize, slsqp_candidate
+
+tilt_module = importlib.import_module("cmselect.tilt")
 
 
 class TestHandExample:
@@ -66,9 +74,90 @@ class TestFeasible:
 
     def test_needs_lp_to_decide(self):
         # Each column has a positive entry, yet no simplex point satisfies
-        # both: the dual diverges and the phase-one LP classifies it.
+        # both: the dual diverges along a direction d <= 0 with g_i'd > 0 on
+        # both rows, which certifies it.
         g = np.array([[1.0, -3.0], [-3.0, 1.0]])
         assert tilt(MomentSample(g)).status == "Infeasible"
+
+
+class TestGordanCertificate:
+    # A failed dual solve returns "Infeasible" only on a direction that
+    # proves it; the LP oracle checks the verdict.
+    def test_verdict_matches_lp_on_shifted_samples(self, monkeypatch):
+        # One violated column, shifted by -0.1 to -3: 1,800 samples, of
+        # which 204 are infeasible without an all-negative column. The LP
+        # checks every "Infeasible" verdict and the n = 50 solved samples.
+        certified = []
+        separates = tilt_module._separates
+
+        def spy(g, lam):
+            proven = separates(g, lam)
+            certified.append(proven)
+            return proven
+
+        monkeypatch.setattr(tilt_module, "_separates", spy)
+        verdicts = {}
+        for j in (2, 4, 10):
+            for n in (50, 100, 250):
+                for i in range(200):
+                    rng = np.random.default_rng([j, n, i])
+                    g = rng.standard_normal((n, j))
+                    g[:, int(rng.integers(j))] -= rng.uniform(0.1, 3.0)
+                    status = tilt(MomentSample(g)).status
+                    verdicts[status] = verdicts.get(status, 0) + 1
+                    if status == "Infeasible" or n == 50:
+                        assert lp_feasible(g) == (status == "Solved"), (j, n, i)
+        assert verdicts == {"Solved": 1257, "Infeasible": 543}
+        assert certified == [True] * 204
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(3, 30),
+        j=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.floats(-3.0, 1.0),
+        decimals=st.one_of(st.none(), st.integers(0, 2)),
+    )
+    def test_verdict_agrees_with_lp(self, n, j, seed, shift, decimals):
+        # Rounding makes ties and zeros, hence samples feasible only on the
+        # simplex boundary, where the solver may fail.
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, j)) + shift * rng.uniform(0.0, 1.0, size=j)
+        if decimals is not None:
+            g = np.round(g, decimals)
+        try:
+            verdict = tilt(MomentSample(g)).status
+        except NoConvergence:
+            verdict = None
+        # "Solved" and a solver failure both need a feasible point;
+        # "Infeasible" needs none.
+        assert lp_feasible(g) == (verdict != "Infeasible")
+
+    def test_only_a_strict_margin_certifies(self):
+        lam = np.array([-2.0, -2.0])
+        assert tilt_module._separates(np.array([[1.0, -3.0], [-3.0, 1.0]]), lam)
+        # g_i'd = 0 on the first row: p = e_1 would be feasible.
+        assert not tilt_module._separates(np.array([[1.0, -1.0], [-3.0, 1.0]]), lam)
+        # g_i'd = 2^-52 > 0 exactly, but within the rounding bound.
+        assert not tilt_module._separates(np.array([[1.0, -1.0 - 2.0**-52], [-3.0, 1.0]]), lam)
+        assert not tilt_module._separates(np.array([[1.0, -3.0]]), np.zeros(2))
+
+    def test_boundary_only_feasibility_stays_a_solver_failure(self, tmp_path, capsys):
+        # Column 0 peaks at exactly 0: only mass on its zero rows satisfies
+        # it, so the LP finds a boundary point, but g_i'd = 0 there for any
+        # d <= 0 that column 1 does not weigh, and no strict separator exists.
+        rng = np.random.default_rng(0)
+        n = 60
+        g = np.column_stack([-rng.uniform(0.1, 2.0, n), rng.standard_normal(n)])
+        g[rng.random(n) < 0.3, 0] = 0.0
+        assert lp_feasible(g)
+        message = "EL dual diverged, but its direction does not certify infeasibility"
+        with pytest.raises(NoConvergence, match=message):
+            tilt(MomentSample(g))
+        path = tmp_path / "boundary.csv"
+        np.savetxt(path, g, fmt="%.17g", delimiter=",")
+        assert main(["test", str(path), "--draws", "200"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _random_feasible_instances(count, seed=0):
